@@ -12,11 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.apps.speedup import amdahl_speedup, amdahl_utilisation, fit_scaling
 from repro.errors import ConfigurationError
 from repro.power.leakage import LeakageModel
 from repro.power.model import CorePowerModel
 from repro.tech.node import TechNode
+from repro.units import Celsius, Hz
 
 
 @dataclass(frozen=True)
@@ -174,3 +177,24 @@ class AppProfile:
         return model.power(
             frequency, alpha=self.utilisation(threads), temperature=temperature
         )
+
+    def core_power_table(
+        self,
+        node: TechNode,
+        threads: Sequence[int],
+        frequencies: Sequence[Hz],
+        temperature: Celsius = 80.0,
+    ) -> np.ndarray:
+        """Per-core Eq. (1) power, W, of every (thread count, frequency).
+
+        Entry ``[i, k]`` equals ``core_power(node, threads[i],
+        frequencies[k], temperature)`` bit for bit: the node-scaled model
+        is built once and evaluated through the same scalar path.
+        """
+        model = self.power_model(node)
+        table = np.empty((len(threads), len(frequencies)))
+        for i, n in enumerate(threads):
+            alpha = self.utilisation(n)
+            for k, f in enumerate(frequencies):
+                table[i, k] = model.power(f, alpha=alpha, temperature=temperature)
+        return table

@@ -24,6 +24,15 @@ This module implements that three-phase heuristic:
 
 Placement uses a dark-silicon-patterning placer by default, since DsRem
 builds on the DaSim insight that spreading active cores buys headroom.
+
+The heuristic is table-driven.  Each call first evaluates one
+``(app, threads, frequency index)`` table of per-core power at T_DTM and
+instance performance, through the scalar Eq. (1) model with one model
+build per application, so every entry is bit-identical to
+:meth:`AppProfile.core_power`.  The density greedy is then one masked
+``argmax`` per added instance, the upgrade pass one masked ``argmax`` of
+gain per extra watt per step over the placed instances' table keys, and
+the repair and exploit phases step frequencies by table index.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.apps.profile import AppProfile
 from repro.apps.workload import ApplicationInstance
 from repro.chip import Chip
@@ -40,6 +50,7 @@ from repro.core.estimator import MappingResult, PlacedInstance
 from repro.errors import ConfigurationError
 from repro.mapping.base import Placer
 from repro.mapping.patterns import ThermalSpreadPlacer
+from repro.units import Hz, Watts
 
 
 @dataclass(frozen=True)
@@ -47,12 +58,17 @@ class DsRemConfig:
     """Tuning knobs of the DsRem heuristic.
 
     Attributes:
-        threads_options: candidate per-instance thread counts
-            (default 1..8, capped by each app's max_threads).
-        frequencies: candidate v/f levels (default: node ladder).
-        exploit_margin: headroom (K) below T_DTM at which the exploit
-            phase stops trying upgrades.
-        max_steps: safety bound on repair/exploit iterations.
+        threads_options: candidate per-instance thread counts, each
+            >= 1 (default 1..max_threads; larger entries are skipped
+            per app).
+        frequencies: candidate v/f levels, each > 0 (default: node
+            ladder); duplicates are dropped and the levels sorted.
+        exploit_margin: headroom (K, >= 0) below T_DTM at which the
+            exploit phase stops trying upgrades.
+        max_steps: safety bound (>= 0) on upgrade/repair/exploit
+            iterations.
+
+    :func:`ds_rem` raises :class:`ConfigurationError` on a violation.
     """
 
     threads_options: Optional[Sequence[int]] = None
@@ -61,69 +77,132 @@ class DsRemConfig:
     max_steps: int = 2000
 
 
-class _State:
-    """Mutable mapping state shared by the three phases."""
+class _Table:
+    """Every configuration DsRem may choose, evaluated once per call.
 
-    def __init__(self, chip: Chip, placer: Placer) -> None:
+    ``core_power[a, n, k]`` is the Eq. (1) per-core power at T_DTM (W)
+    and ``performance[a, n, k]`` the instance throughput (IPS) of app
+    ``apps[a]`` running ``n`` threads at ``frequencies[k]``; NaN marks
+    thread counts that are not options.  ``keys`` lists the candidate
+    ``(a, n, k)`` in app -> threads -> frequency order, so a first
+    maximum over the flat arrays breaks ties as the scalar greedy walk
+    did.  Each value comes from the scalar power model (one model build
+    per app), so every entry is bit-identical to a direct
+    ``AppProfile.core_power`` call.
+    """
+
+    def __init__(
+        self,
+        chip: Chip,
+        apps: Sequence[AppProfile],
+        frequencies: Sequence[Hz],
+        threads_options: Optional[Sequence[int]],
+    ) -> None:
+        self.apps = tuple(apps)
+        self.frequencies = tuple(frequencies)
+        shape = (len(apps), max(app.max_threads for app in apps) + 1, len(frequencies))
+        self.core_power = np.full(shape, np.nan)
+        self.performance = np.full(shape, np.nan)
+        self.keys: list[tuple[int, int, int]] = []
+        for a, app in enumerate(apps):
+            if threads_options is None:
+                options = list(range(1, app.max_threads + 1))
+            else:
+                options = [n for n in threads_options if n <= app.max_threads]
+            if not options:
+                continue
+            self.core_power[a, options] = app.core_power_table(
+                chip.node, options, frequencies, temperature=chip.t_dtm
+            )
+            self.performance[a, options] = [
+                [app.instance_performance(n, f) for f in frequencies]
+                for n in options
+            ]
+            self.keys += [(a, n, k) for n in options for k in range(len(frequencies))]
+        key = tuple(np.array(self.keys, dtype=int).reshape(-1, 3).T)
+        self.threads = key[1]
+        self.instance_power = self.threads * self.core_power[key]
+        self.instance_performance = self.performance[key]
+
+
+class _State:
+    """Mutable mapping state shared by the three phases.
+
+    Instance ``i`` is the table configuration ``keys[i]`` (app, threads,
+    frequency index) on ``cores[i]``, drawing ``power[i]`` W per core.
+    """
+
+    def __init__(self, chip: Chip, placer: Placer, table: _Table) -> None:
         self.chip = chip
         self.placer = placer
-        self.placed: list[PlacedInstance] = []
+        self.table = table
+        self.keys: list[tuple[int, int, int]] = []
+        self.cores: list[tuple[int, ...]] = []
+        self.power: list[Watts] = []
 
     @property
     def occupied(self) -> set[int]:
-        return {c for p in self.placed for c in p.cores}
+        return {c for cores in self.cores for c in cores}
 
     def core_powers(self) -> np.ndarray:
         powers = np.zeros(self.chip.n_cores)
-        for p in self.placed:
-            powers[list(p.cores)] += p.core_power
+        if self.cores:
+            np.add.at(
+                powers,
+                np.concatenate(self.cores),
+                np.repeat(self.power, [len(c) for c in self.cores]),
+            )
         return powers
-
-    def total_power(self) -> float:
-        return float(sum(p.core_power * len(p.cores) for p in self.placed))
 
     def peak_temperature(self) -> float:
         return self.chip.solver.peak_temperature(self.core_powers())
 
-    def add(self, instance: ApplicationInstance) -> bool:
-        cores = self.placer.place(self.chip, instance.cores, self.occupied)
+    def add(self, key: tuple[int, int, int]) -> bool:
+        cores = self.placer.place(self.chip, key[1], self.occupied)
         if cores is None:
             return False
-        per_core = instance.core_power(self.chip.node, temperature=self.chip.t_dtm)
-        self.placed.append(
-            PlacedInstance(instance=instance, cores=tuple(cores), core_power=per_core)
-        )
+        self.keys.append(key)
+        self.cores.append(tuple(cores))
+        self.power.append(float(self.table.core_power[key]))
         return True
 
-    def replace(self, index: int, frequency: float) -> None:
-        old = self.placed[index]
-        instance = old.instance.with_frequency(frequency)
-        per_core = instance.core_power(self.chip.node, temperature=self.chip.t_dtm)
-        self.placed[index] = PlacedInstance(
-            instance=instance, cores=old.cores, core_power=per_core
-        )
+    def replace(self, index: int, freq_index: int) -> None:
+        a, n, _ = self.keys[index]
+        self.keys[index] = (a, n, freq_index)
+        self.power[index] = float(self.table.core_power[a, n, freq_index])
 
     def remove(self, index: int) -> None:
-        del self.placed[index]
+        del self.keys[index], self.cores[index], self.power[index]
 
     def hottest_instance(self) -> Optional[int]:
         """Index of the placed instance containing the hottest core."""
-        if not self.placed:
+        if not self.keys:
             return None
         temps = self.chip.solver.temperatures(self.core_powers())
         hottest_core = int(np.argmax(temps))
-        for i, p in enumerate(self.placed):
-            if hottest_core in p.cores:
+        for i, cores in enumerate(self.cores):
+            if hottest_core in cores:
                 return i
         # The hottest core is dark (heated by neighbours): blame the
         # instance with the highest per-core power instead.
-        return max(range(len(self.placed)), key=lambda i: self.placed[i].core_power)
+        return max(range(len(self.power)), key=self.power.__getitem__)
 
     def result(self) -> MappingResult:
+        table = self.table
+        placed = tuple(
+            PlacedInstance(
+                instance=ApplicationInstance(
+                    app=table.apps[a], threads=n, frequency=table.frequencies[k]
+                ),
+                cores=cores,
+                core_power=power,
+            )
+            for (a, n, k), cores, power in zip(self.keys, self.cores, self.power)
+        )
         powers = self.core_powers()
         return MappingResult(
             chip=self.chip,
-            placed=tuple(self.placed),
+            placed=placed,
             rejected=(),
             core_powers=powers,
             peak_temperature=self.chip.solver.peak_temperature(powers),
@@ -133,7 +212,7 @@ class _State:
 def ds_rem(
     chip: Chip,
     apps: Sequence[AppProfile],
-    tdp: float,
+    tdp: Watts,
     placer: Optional[Placer] = None,
     config: Optional[DsRemConfig] = None,
 ) -> MappingResult:
@@ -149,113 +228,117 @@ def ds_rem(
 
     Returns:
         The final thermally-safe :class:`MappingResult`.
+
+    Raises:
+        ConfigurationError: on an empty mix, a non-positive TDP or an
+            invalid :class:`DsRemConfig`.
     """
     if not apps:
         raise ConfigurationError("need at least one application in the mix")
     if tdp <= 0:
         raise ConfigurationError(f"tdp must be positive, got {tdp}")
     cfg = config or DsRemConfig()
-    frequencies = sorted(
+    frequencies = _validate_config(chip, cfg)
+    table = _Table(chip, apps, frequencies, cfg.threads_options)
+    obs.incr("mapping.dsrem.table_cells", len(table.keys))
+    state = _State(chip, placer or ThermalSpreadPlacer(), table)
+
+    with obs.span("mapping.dsrem.budget"):
+        _budget_phase(state, tdp, cfg)
+    with obs.span("mapping.dsrem.repair"):
+        _repair_phase(state, cfg)
+    with obs.span("mapping.dsrem.exploit"):
+        _exploit_phase(state, cfg)
+    return state.result()
+
+
+def _validate_config(chip: Chip, cfg: DsRemConfig) -> list[Hz]:
+    """Check ``cfg``; return its v/f levels, ascending and deduplicated.
+
+    Raises:
+        ConfigurationError: on an invalid configuration.
+    """
+    if cfg.threads_options is not None and any(n < 1 for n in cfg.threads_options):
+        raise ConfigurationError(
+            f"threads_options must all be >= 1, got {list(cfg.threads_options)}"
+        )
+    if cfg.max_steps < 0:
+        raise ConfigurationError(f"max_steps must be non-negative, got {cfg.max_steps}")
+    if cfg.exploit_margin < 0:
+        raise ConfigurationError(
+            f"exploit_margin must be non-negative, got {cfg.exploit_margin}"
+        )
+    frequencies = (
         cfg.frequencies if cfg.frequencies is not None else chip.node.frequency_ladder()
     )
-    state = _State(chip, placer or ThermalSpreadPlacer())
-
-    _budget_phase(state, apps, tdp, frequencies, cfg)
-    _repair_phase(state, frequencies, cfg)
-    _exploit_phase(state, apps, frequencies, cfg)
-    return state.result()
+    if not frequencies:
+        raise ConfigurationError("frequencies must not be empty")
+    if not all(f > 0 for f in frequencies):
+        raise ConfigurationError(
+            f"frequencies must all be positive, got {list(frequencies)}"
+        )
+    return sorted(set(frequencies))
 
 
 # -- phase 1: greedy knapsack under TDP -------------------------------
 
 
-def _candidate_configs(
-    app: AppProfile, chip: Chip, frequencies: Sequence[float], cfg: DsRemConfig
-) -> list[tuple[int, float, float, float]]:
-    """(threads, frequency, instance_power, instance_performance) tuples."""
-    threads_options = (
-        cfg.threads_options
-        if cfg.threads_options is not None
-        else range(1, app.max_threads + 1)
-    )
-    configs = []
-    for n in threads_options:
-        if n > app.max_threads:
-            continue
-        for f in frequencies:
-            power = n * app.core_power(chip.node, n, f, temperature=chip.t_dtm)
-            perf = app.instance_performance(n, f)
-            configs.append((n, f, power, perf))
-    return configs
-
-
-def _budget_phase(
-    state: _State,
-    apps: Sequence[AppProfile],
-    tdp: float,
-    frequencies: Sequence[float],
-    cfg: DsRemConfig,
-) -> None:
-    chip = state.chip
-    configs = {app.name: _candidate_configs(app, chip, frequencies, cfg) for app in apps}
+def _budget_phase(state: _State, tdp: Watts, cfg: DsRemConfig) -> None:
+    table = state.table
     remaining_power = tdp
-    free_cores = chip.n_cores
+    free_cores = state.chip.n_cores
 
     # Density greedy: best performance per watt that still fits.
+    density = table.instance_performance / table.instance_power
     while True:
-        best = None
-        for app in apps:
-            for n, f, power, perf in configs[app.name]:
-                if n > free_cores or power > remaining_power:
-                    continue
-                density = perf / power
-                if best is None or density > best[0]:
-                    best = (density, app, n, f)
-        if best is None:
+        fits = (table.threads <= free_cores) & (table.instance_power <= remaining_power)
+        if not fits.any():
             break
-        _, app, n, f = best
-        if not state.add(ApplicationInstance(app=app, threads=n, frequency=f)):
+        key = table.keys[int(np.argmax(np.where(fits, density, -np.inf)))]
+        if not state.add(key):
             break
-        added = state.placed[-1]
-        remaining_power -= added.core_power * len(added.cores)
-        free_cores -= len(added.cores)
+        remaining_power -= state.power[-1] * len(state.cores[-1])
+        free_cores -= len(state.cores[-1])
 
     # Upgrade pass: spend leftover power on frequency increases, largest
-    # performance gain per extra watt first.
+    # performance gain per extra watt first.  Only the stepped instance's
+    # next step changes, so only its entry is recomputed.
+    if not state.keys:
+        return
+    apps, threads, freqs = np.array(state.keys).T.copy()
+    extra, gain = _next_step(table, apps, threads, freqs)
+    top = len(table.frequencies) - 1
     for _ in range(cfg.max_steps):
-        best = None
-        for i, placed in enumerate(state.placed):
-            inst = placed.instance
-            higher = [f for f in frequencies if f > inst.frequency]
-            if not higher:
-                continue
-            f_next = higher[0]
-            new_power = inst.cores * inst.app.core_power(
-                chip.node, inst.threads, f_next, temperature=chip.t_dtm
-            )
-            old_power = placed.core_power * len(placed.cores)
-            extra = new_power - old_power
-            if extra > remaining_power:
-                continue
-            gain = inst.app.instance_performance(inst.threads, f_next) - inst.performance()
-            if gain <= 0:
-                continue
-            score = gain / max(extra, 1e-9)
-            if best is None or score > best[0]:
-                best = (score, i, f_next, extra)
-        if best is None:
+        admissible = (freqs < top) & (extra <= remaining_power) & (gain > 0)
+        if not admissible.any():
             break
-        _, i, f_next, extra = best
-        state.replace(i, f_next)
-        remaining_power -= extra
+        score = np.where(admissible, gain / np.maximum(extra, 1e-9), -np.inf)
+        i = int(np.argmax(score))
+        remaining_power -= float(extra[i])
+        freqs[i] += 1
+        state.replace(i, int(freqs[i]))
+        extra[i], gain[i] = _next_step(table, apps[i], threads[i], freqs[i])
+
+
+def _next_step(
+    table: _Table, apps: np.ndarray, threads: np.ndarray, freqs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extra instance power (W) and performance gain (IPS) of stepping
+    each ``(app, threads, frequency index)`` one level up.
+
+    Both are 0 at the top level.
+    """
+    up = np.minimum(freqs + 1, len(table.frequencies) - 1)
+    power = table.core_power
+    extra = threads * power[apps, threads, up] - power[apps, threads, freqs] * threads
+    gain = table.performance[apps, threads, up] - table.performance[apps, threads, freqs]
+    return extra, gain
 
 
 # -- phase 2: thermal repair ------------------------------------------
 
 
-def _repair_phase(
-    state: _State, frequencies: Sequence[float], cfg: DsRemConfig
-) -> None:
+def _repair_phase(state: _State, cfg: DsRemConfig) -> None:
     chip = state.chip
     for _ in range(cfg.max_steps):
         if state.peak_temperature() <= chip.t_dtm + 1e-6:
@@ -263,10 +346,9 @@ def _repair_phase(
         index = state.hottest_instance()
         if index is None:
             return
-        inst = state.placed[index].instance
-        lower = [f for f in frequencies if f < inst.frequency]
-        if lower:
-            state.replace(index, lower[-1])
+        freq_index = state.keys[index][2]
+        if freq_index > 0:
+            state.replace(index, freq_index - 1)
         else:
             state.remove(index)
 
@@ -274,66 +356,49 @@ def _repair_phase(
 # -- phase 3: exploit headroom ----------------------------------------
 
 
-def _exploit_phase(
-    state: _State,
-    apps: Sequence[AppProfile],
-    frequencies: Sequence[float],
-    cfg: DsRemConfig,
-) -> None:
+def _exploit_phase(state: _State, cfg: DsRemConfig) -> None:
     chip = state.chip
     for _ in range(cfg.max_steps):
         peak = state.peak_temperature()
         if peak > chip.t_dtm - cfg.exploit_margin:
             return
-        if not _try_upgrade(state, frequencies) and not _try_add(
-            state, apps, frequencies, cfg
-        ):
+        if not _try_upgrade(state) and not _try_add(state):
             return
 
 
-def _try_upgrade(state: _State, frequencies: Sequence[float]) -> bool:
+def _try_upgrade(state: _State) -> bool:
     """Apply the best admissible one-step frequency upgrade, if any."""
     chip = state.chip
-    candidates = []
-    for i, placed in enumerate(state.placed):
-        inst = placed.instance
-        higher = [f for f in frequencies if f > inst.frequency]
-        if not higher:
-            continue
-        gain = (
-            inst.app.instance_performance(inst.threads, higher[0])
-            - inst.performance()
-        )
-        candidates.append((gain, i, higher[0]))
-    for gain, i, f_next in sorted(candidates, reverse=True):
-        old_f = state.placed[i].instance.frequency
-        state.replace(i, f_next)
+    if not state.keys:
+        return False
+    _, gain = _next_step(state.table, *np.array(state.keys).T)
+    top = len(state.table.frequencies) - 1
+    candidates = [
+        (float(gain[i]), i, k + 1)
+        for i, (_, _, k) in enumerate(state.keys)
+        if k < top
+    ]
+    for _, i, k_next in sorted(candidates, reverse=True):
+        state.replace(i, k_next)
         if state.peak_temperature() <= chip.t_dtm + 1e-6:
             return True
-        state.replace(i, old_f)
+        state.replace(i, k_next - 1)
     return False
 
 
-def _try_add(
-    state: _State,
-    apps: Sequence[AppProfile],
-    frequencies: Sequence[float],
-    cfg: DsRemConfig,
-) -> bool:
+def _try_add(state: _State) -> bool:
     """Add the best-performing instance that stays thermally safe."""
     chip = state.chip
+    table = state.table
     free = chip.n_cores - len(state.occupied)
     if free == 0:
         return False
-    candidates = []
-    for app in apps:
-        for n, f, power, perf in _candidate_configs(app, chip, frequencies, cfg):
-            if n <= free:
-                candidates.append((perf, app, n, f))
-    for perf, app, n, f in sorted(candidates, key=lambda c: -c[0]):
-        if not state.add(ApplicationInstance(app=app, threads=n, frequency=f)):
+    fits = np.flatnonzero(table.threads <= free)
+    order = fits[np.argsort(-table.instance_performance[fits], kind="stable")]
+    for i in order:
+        if not state.add(table.keys[i]):
             continue
         if state.peak_temperature() <= chip.t_dtm + 1e-6:
             return True
-        state.remove(len(state.placed) - 1)
+        state.remove(len(state.keys) - 1)
     return False

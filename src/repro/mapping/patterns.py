@@ -16,6 +16,7 @@ cheapest to most informed:
 
 from __future__ import annotations
 
+import bisect
 from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
@@ -119,11 +120,19 @@ class NeighbourhoodSpreadPlacer(Placer):
 class ThermalSpreadPlacer(Placer):
     """Greedy placement minimising received thermal influence.
 
-    Core ``j``'s score is ``sum_k B[j, k]`` over the occupied set, where
-    ``B`` is the chip's steady-state influence matrix: the temperature
-    rise core ``j`` would suffer if every occupied core dissipated one
-    watt.  Minimising it directly targets the peak-temperature objective
-    the DaSim patterning pursues.  Works on any chip (no grid needed).
+    Core ``j``'s score is ``sum_k B[j, k] + B[j, j]`` over the occupied
+    set, where ``B`` is the chip's steady-state influence matrix: the
+    temperature rise core ``j`` would suffer if every occupied core
+    dissipated one watt.  Minimising it directly targets the
+    peak-temperature objective the DaSim patterning pursues.  Works on
+    any chip (no grid needed).
+
+    Every free core is scored at once.  The sum is an explicit
+    sequential (left-fold) sum over ascending ``k`` (the last column of
+    a ``cumsum``), and ties go to the lowest core index.  Pinning the
+    order keeps placements independent of set iteration order and of
+    the interpreter's ``sum()``, which Python 3.12 made compensated for
+    floats.
     """
 
     def place(
@@ -133,16 +142,14 @@ class ThermalSpreadPlacer(Placer):
         if len(free) < n_cores:
             return None
         influence = chip.thermal.influence_matrix()
-        taken = set(occupied)
+        taken = sorted(occupied)
         chosen: list[int] = []
-        candidates = set(free)
         for _ in range(n_cores):
-            best = min(
-                sorted(candidates),
-                key=lambda c: sum(influence[c, k] for k in taken)
-                + influence[c, c],
-            )
-            chosen.append(best)
-            candidates.remove(best)
-            taken.add(best)
+            candidates = np.array(free)
+            scores = influence[candidates, candidates]
+            if taken:
+                received = np.cumsum(influence[np.ix_(candidates, taken)], axis=1)
+                scores = received[:, -1] + scores
+            chosen.append(free.pop(int(np.argmin(scores))))
+            bisect.insort(taken, chosen[-1])
         return chosen

@@ -1,10 +1,11 @@
 """White-box tests of the DsRem heuristic's three phases."""
 
+import numpy as np
 import pytest
 
 from repro.apps.parsec import PARSEC
 from repro.errors import ConfigurationError
-from repro.mapping.dsrem import DsRemConfig, ds_rem
+from repro.mapping.dsrem import DsRemConfig, _Table, ds_rem
 from repro.units import GIGA
 
 COARSE = DsRemConfig(frequencies=[2.0 * GIGA, 2.8 * GIGA, 3.6 * GIGA])
@@ -87,3 +88,69 @@ class TestEndToEnd:
         )
         result = ds_rem(small_chip, [PARSEC["dedup"]], tdp=20.0, config=cfg)
         assert all(p.instance.threads == 4 for p in result.placed)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DsRemConfig(frequencies=[]),
+            DsRemConfig(frequencies=[0.0, 2.0 * GIGA]),
+            DsRemConfig(frequencies=[2.0 * GIGA, -1.0]),
+            DsRemConfig(threads_options=[0, 2]),
+            DsRemConfig(frequencies=COARSE.frequencies, max_steps=-1),
+            DsRemConfig(frequencies=COARSE.frequencies, exploit_margin=-0.5),
+        ],
+        ids=[
+            "empty-frequencies",
+            "gated-frequency",
+            "negative-frequency",
+            "zero-threads",
+            "negative-max-steps",
+            "negative-margin",
+        ],
+    )
+    def test_invalid_config_rejected(self, small_chip, cfg):
+        with pytest.raises(ConfigurationError):
+            ds_rem(small_chip, [PARSEC["x264"]], tdp=20.0, config=cfg)
+
+    def test_duplicate_frequencies_are_deduplicated(self, small_chip):
+        apps = [PARSEC["x264"], PARSEC["canneal"]]
+        plain = ds_rem(small_chip, apps, tdp=25.0, config=COARSE)
+        doubled = ds_rem(
+            small_chip, apps, tdp=25.0,
+            config=DsRemConfig(
+                frequencies=list(COARSE.frequencies) * 2 + [2.8 * GIGA]
+            ),
+        )
+        assert [
+            (p.instance, p.cores, p.core_power) for p in doubled.placed
+        ] == [(p.instance, p.cores, p.core_power) for p in plain.placed]
+        assert doubled.peak_temperature == plain.peak_temperature
+
+
+class TestTable:
+    @pytest.mark.parametrize("chip_name", ["small_chip", "chip16"])
+    def test_cells_equal_scalar_model(self, request, chip_name):
+        chip = request.getfixturevalue(chip_name)
+        apps = [PARSEC[name] for name in sorted(PARSEC)]
+        frequencies = chip.node.frequency_ladder()
+        table = _Table(chip, apps, frequencies, None)
+        assert len(table.keys) == sum(a.max_threads for a in apps) * len(frequencies)
+        for a, app in enumerate(apps):
+            for n in range(1, app.max_threads + 1):
+                for k, f in enumerate(frequencies):
+                    expected = app.core_power(chip.node, n, f, temperature=chip.t_dtm)
+                    assert table.core_power[a, n, k] == expected
+                    assert table.performance[a, n, k] == app.instance_performance(n, f)
+
+    def test_candidates_in_app_threads_frequency_order(self, small_chip):
+        apps = [PARSEC["dedup"], PARSEC["x264"]]
+        table = _Table(small_chip, apps, COARSE.frequencies, [4, 2, 9])
+        expected = [
+            (a, n, k) for a in range(2) for n in (4, 2) for k in range(3)
+        ]
+        assert table.keys == expected
+        assert np.isnan(table.core_power[:, 3]).all()
+        for i, (a, n, k) in enumerate(expected):
+            assert table.instance_power[i] == n * table.core_power[a, n, k]

@@ -1,10 +1,13 @@
 """Placement policies (contiguous + dark-silicon patterning)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.experiments.common import get_chip
 from repro.mapping.base import Placer
 from repro.mapping.contiguous import ContiguousPlacer
 from repro.mapping.patterns import (
@@ -124,6 +127,62 @@ class TestThermalSpread:
                 assert peak < contiguous_peak
             else:
                 contiguous_peak = peak
+
+
+def _generator_sum_place(chip, n_cores, occupied):
+    """The scalar ThermalSpreadPlacer: per-candidate generator sums."""
+    free = Placer.free_cores(chip, occupied)
+    if len(free) < n_cores:
+        return None
+    influence = chip.thermal.influence_matrix()
+    taken = set(occupied)
+    chosen = []
+    candidates = set(free)
+    for _ in range(n_cores):
+        best = min(
+            sorted(candidates),
+            key=lambda c: sum(influence[c, k] for k in taken) + influence[c, c],
+        )
+        chosen.append(best)
+        candidates.remove(best)
+        taken.add(best)
+    return chosen
+
+
+class TestThermalSpreadOracle:
+    """The vectorised placer chooses exactly what the scalar one chose."""
+
+    @pytest.fixture(params=["small", "16nm", "8nm"])
+    def chip(self, request, small_chip, chip16):
+        return {
+            "small": small_chip,
+            "16nm": chip16,
+            "8nm": get_chip("8nm"),
+        }[request.param]
+
+    def test_seeded_random_occupancy(self, chip):
+        rng = random.Random(f"thermal-spread:{chip.n_cores}")
+        placer = ThermalSpreadPlacer()
+        for _ in range(12):
+            occupied = set(rng.sample(range(chip.n_cores), rng.randrange(chip.n_cores)))
+            n = rng.randint(1, min(8, chip.n_cores - len(occupied)))
+            assert placer.place(chip, n, occupied) == _generator_sum_place(
+                chip, n, occupied
+            )
+
+    def test_empty_occupancy(self, chip):
+        assert ThermalSpreadPlacer().place(chip, 8, set()) == _generator_sum_place(
+            chip, 8, set()
+        )
+
+    def test_full_chip_returns_none(self, chip):
+        full = set(range(chip.n_cores))
+        assert ThermalSpreadPlacer().place(chip, 1, full) is None
+        assert _generator_sum_place(chip, 1, full) is None
+
+    def test_returns_python_ints(self, small_chip):
+        cores = ThermalSpreadPlacer().place(small_chip, 3, {5})
+        assert all(type(c) is int for c in cores)
 
 
 class TestFreeCores:
