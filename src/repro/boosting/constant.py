@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.boosting.simulation import ConstantRunResult, PlacedWorkload
 from repro.errors import ConvergenceError, InfeasibleError
 from repro.units import gips as to_gips
@@ -65,13 +66,14 @@ def best_constant_frequency(
         frequencies if frequencies is not None else chip.node.frequency_ladder()
     )
     limit = chip.t_dtm if threshold is None else threshold
-    for frequency in reversed(ladder):
-        try:
-            result = constant_steady(placed, frequency)
-        except ConvergenceError:
-            continue  # thermal runaway at this level; step down
-        if result.peak_temperature <= limit + 1e-6:
-            return result
+    with obs.span("boosting.constant"):
+        for frequency in reversed(ladder):
+            try:
+                result = constant_steady(placed, frequency)
+            except ConvergenceError:
+                continue  # thermal runaway at this level; step down
+            if result.peak_temperature <= limit + 1e-6:
+                return result
     raise InfeasibleError(
         f"no ladder frequency keeps the workload below {limit} degC"
     )

@@ -8,18 +8,28 @@ loop is pure vector arithmetic:
 * leakage from the commanded voltage and each core's *current*
   temperature (the full Eq. (1) temperature feedback).
 
+Everything that depends on the frequency alone — the dynamic +
+independent power vector and the leakage voltage scale — is memoized per
+exact frequency, so an Eq. (1) evaluation in the loop is one ``exp`` over
+the core temperatures plus two vector operations.
+
 :func:`run_boosting` couples the transient thermal solver with the
 closed-loop :class:`repro.boosting.controller.BoostingController`;
-:func:`run_constant` runs the same workload at one fixed frequency.
+:func:`run_constant` runs the same workload at one fixed frequency.  Each
+control period of either makes one Eq. (1) evaluation (plus one per
+power-cap back-off), reads the core temperatures once — the array the
+step returns — and advances the thermal state with one
+:meth:`~repro.thermal.transient.TransientSimulator.step`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.apps.workload import ApplicationInstance, Workload
 from repro.boosting.controller import BoostingController
 from repro.chip import Chip
@@ -28,6 +38,15 @@ from repro.mapping.base import Placer
 from repro.mapping.contiguous import ContiguousPlacer
 from repro.thermal.transient import TransientSimulator
 from repro.units import gips as to_gips, is_gated
+
+#: Bound on the memoized frequency levels of one placed workload.  A
+#: transient run visits a handful of DVFS levels; the bound only keeps a
+#: caller sweeping arbitrary frequencies from growing the memo forever.
+_MAX_LEVELS = 256
+
+#: A control policy: ``(peak, core_temperatures) -> (frequency, powers)``,
+#: the chip frequency and the per-core power vector to apply next step.
+FrequencyPolicy = Callable[[float, np.ndarray], tuple[float, np.ndarray]]
 
 
 class PlacedWorkload:
@@ -82,6 +101,8 @@ class PlacedWorkload:
         if self.placements:
             self._curve = self.placements[0][0].app.power_model(chip.node).curve
         self._leak_shape = leak_shape
+        # exact frequency -> (read-only base power vector, leakage scale)
+        self._levels: dict[float, tuple[np.ndarray, float]] = {}
 
     @property
     def n_instances(self) -> int:
@@ -102,38 +123,82 @@ class PlacedWorkload:
         """Aggregate throughput (instructions/s) at chip frequency ``frequency``."""
         return self._perf_per_hz * frequency
 
+    def _level(self, frequency: float) -> Optional[tuple[np.ndarray, float]]:
+        """The frequency-only Eq. (1) terms at ``frequency``, memoized.
+
+        Returns:
+            ``None`` when no core draws power (gated frequency or empty
+            workload); otherwise the read-only per-core dynamic +
+            independent power vector and the leakage voltage scale
+            ``v (v / vref) exp(kv (v - vref))``.
+        """
+        if is_gated(frequency) or not self.placements:
+            return None
+        level = self._levels.get(frequency)
+        if level is None:
+            v = self._curve.voltage(frequency)
+            base = self._dyn_coeff * (v * v * frequency)
+            base[self._active] += self._pind[self._active]
+            base.flags.writeable = False
+            shape = self._leak_shape
+            scale = v * (v / shape.vref) * np.exp(shape.kv * (v - shape.vref))
+            if len(self._levels) >= _MAX_LEVELS:
+                self._levels.clear()
+            level = self._levels[frequency] = (base, scale)
+        return level
+
+    def temperature_factors(self, core_temperatures: np.ndarray) -> np.ndarray:
+        """Per-core leakage temperature term ``exp(kt (T - tref))``.
+
+        Zero for an empty workload, which has no leakage model (and no
+        leaking core).
+        """
+        shape = self._leak_shape
+        if shape is None:
+            return np.zeros(self.chip.n_cores)
+        return np.exp(shape.kt * (core_temperatures - shape.tref))
+
     def base_powers(self, frequency: float) -> np.ndarray:
         """Per-core dynamic + independent power at ``frequency``, W."""
-        if is_gated(frequency) or not self.placements:
+        level = self._level(frequency)
+        if level is None:
             return np.zeros(self.chip.n_cores)
-        v = self._curve.voltage(frequency)
-        powers = self._dyn_coeff * (v * v * frequency)
-        powers[self._active] += self._pind[self._active]
-        return powers
+        return level[0].copy()
 
     def leakage_powers(
         self, frequency: float, core_temperatures: np.ndarray
     ) -> np.ndarray:
         """Per-core leakage power at ``frequency`` and given temperatures, W."""
-        if is_gated(frequency) or not self.placements:
+        level = self._level(frequency)
+        if level is None:
             return np.zeros(self.chip.n_cores)
-        shape = self._leak_shape
-        v = self._curve.voltage(frequency)
-        per_amp = (
-            v
-            * (v / shape.vref)
-            * np.exp(shape.kv * (v - shape.vref))
-            * np.exp(shape.kt * (core_temperatures - shape.tref))
-        )
-        return self._i0 * per_amp
+        return self._i0 * (level[1] * self.temperature_factors(core_temperatures))
 
     def total_powers(
-        self, frequency: float, core_temperatures: np.ndarray
+        self,
+        frequency: float,
+        core_temperatures: np.ndarray,
+        *,
+        temperature_factors: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Full Eq. (1) per-core power vector, W."""
-        return self.base_powers(frequency) + self.leakage_powers(
-            frequency, core_temperatures
-        )
+        """Full Eq. (1) per-core power vector, W.
+
+        Args:
+            frequency: chip frequency, Hz.
+            core_temperatures: per-core temperatures, degC.
+            temperature_factors: ``temperature_factors(core_temperatures)``
+                when already computed, so evaluations at several
+                frequencies but the same temperatures (the power-cap
+                back-off) share one ``exp``.
+        """
+        obs.incr("boosting.power_evals")
+        level = self._level(frequency)
+        if level is None:
+            return np.zeros(self.chip.n_cores)
+        base, scale = level
+        if temperature_factors is None:
+            temperature_factors = self.temperature_factors(core_temperatures)
+        return base + self._i0 * (scale * temperature_factors)
 
     # -- per-instance frequency evaluation -----------------------------
     #
@@ -312,28 +377,27 @@ def run_boosting(
         sim.warm_start(placed.total_powers(warm_start_frequency, temps0))
 
     if power_cap is None:
-        policy = controller.update
+
+        def policy(peak: float, temps: np.ndarray) -> tuple[float, np.ndarray]:
+            f = controller.update(peak)
+            return f, placed.total_powers(f, temps)
+
     else:
 
-        def policy(peak: float) -> float:
+        def policy(peak: float, temps: np.ndarray) -> tuple[float, np.ndarray]:
+            # Step down until the cap holds; the vector evaluated at the
+            # final frequency is the one applied.
             f = controller.update(peak)
-            temps = sim.core_temperatures
-            while (
-                f > controller.f_min
-                and placed.total_powers(f, temps).sum() > power_cap
-            ):
-                f -= controller.step
-            f = max(f, controller.f_min)
+            factors = placed.temperature_factors(temps)
+            p = placed.total_powers(f, temps, temperature_factors=factors)
+            while f > controller.f_min and p.sum() > power_cap:
+                obs.incr("boosting.cap_backoffs")
+                f = max(f - controller.step, controller.f_min)
+                p = placed.total_powers(f, temps, temperature_factors=factors)
             controller.reset(f)
-            return f
+            return f, p
 
-    return _run_transient(
-        placed,
-        sim,
-        duration,
-        record_interval,
-        frequency_policy=policy,
-    )
+    return _run_transient(placed, sim, duration, record_interval, policy)
 
 
 def run_constant(
@@ -354,7 +418,7 @@ def run_constant(
         sim,
         duration,
         record_interval,
-        frequency_policy=lambda peak: frequency,
+        lambda peak, temps: (frequency, placed.total_powers(frequency, temps)),
     )
 
 
@@ -393,16 +457,13 @@ def run_per_instance_boosting(
         raise ConfigurationError(
             f"need {placed.n_instances} controllers, got {len(controllers)}"
         )
-    if duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
     sim = TransientSimulator(placed.chip.thermal, dt=dt)
+    n_steps, every = sim.start_run(duration, record_interval)
     if warm_start_frequencies is not None:
         temps0 = np.full(placed.chip.n_cores, placed.chip.t_dtm)
         sim.warm_start(placed.instance_total_powers(warm_start_frequencies, temps0))
 
     core_lists = [list(cores) for _, cores in placed.placements]
-    n_steps = max(1, int(round(duration / dt)))
-    every = max(1, int(round(record_interval / dt)))
 
     times, freqs, gips_trace, peaks, powers = [], [], [], [], []
     perf_sum = power_sum = max_power = 0.0
@@ -461,12 +522,9 @@ def _run_transient(
     sim: TransientSimulator,
     duration: float,
     record_interval: float,
-    frequency_policy,
+    policy: FrequencyPolicy,
 ) -> BoostingRunResult:
-    if duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
-    n_steps = max(1, int(round(duration / sim.dt)))
-    every = max(1, int(round(record_interval / sim.dt)))
+    n_steps, every = sim.start_run(duration, record_interval)
 
     times: list[float] = []
     freqs: list[float] = []
@@ -479,26 +537,29 @@ def _run_transient(
     max_power = 0.0
     max_temp = -np.inf
 
-    for k in range(n_steps):
-        temps = sim.core_temperatures
-        peak = float(np.max(temps))
-        f = frequency_policy(peak)
-        p = placed.total_powers(f, temps)
-        total_p = float(p.sum())
-        sim.step(p)
+    # One core-temperature read per control period: the array the step
+    # returns feeds the next period's controller, leakage and records.
+    temps = sim.core_temperatures
+    peak = float(np.max(temps))
+    with obs.span("boosting.transient"):
+        for k in range(n_steps):
+            f, p = policy(peak, temps)
+            total_p = float(p.sum())
+            temps = sim.step(p)
+            peak = float(np.max(temps))
 
-        perf = placed.performance(f)
-        perf_sum += perf
-        power_sum += total_p
-        max_power = max(max_power, total_p)
-        max_temp = max(max_temp, sim.peak_temperature)
+            perf = placed.performance(f)
+            perf_sum += perf
+            power_sum += total_p
+            max_power = max(max_power, total_p)
+            max_temp = max(max_temp, peak)
 
-        if (k + 1) % every == 0 or k == n_steps - 1:
-            times.append((k + 1) * sim.dt)
-            freqs.append(f)
-            gips_trace.append(to_gips(perf))
-            peaks.append(sim.peak_temperature)
-            powers.append(total_p)
+            if (k + 1) % every == 0 or k == n_steps - 1:
+                times.append((k + 1) * sim.dt)
+                freqs.append(f)
+                gips_trace.append(to_gips(perf))
+                peaks.append(peak)
+                powers.append(total_p)
 
     avg_power = power_sum / n_steps
     return BoostingRunResult(

@@ -226,15 +226,23 @@ class ThermalModel:
             self._step_factorizations[key] = cached
         return cached
 
-    def expand_core_powers(self, core_powers: Sequence[float]) -> np.ndarray:
-        """Per-core powers -> full network power vector (W)."""
+    def core_power_vector(self, core_powers: Sequence[float]) -> np.ndarray:
+        """Per-core powers as a float array of shape ``(n_cores,)``, W.
+
+        Raises:
+            ConfigurationError: on any other shape.
+        """
         p = np.asarray(core_powers, dtype=float)
         if p.shape != (self.n_cores,):
             raise ConfigurationError(
                 f"expected {self.n_cores} core powers, got shape {p.shape}"
             )
+        return p
+
+    def expand_core_powers(self, core_powers: Sequence[float]) -> np.ndarray:
+        """Per-core powers -> full network power vector (W)."""
         full = np.zeros(self.n_nodes)
-        full[self._core_indices] = p
+        full[self._core_indices] = self.core_power_vector(core_powers)
         return full
 
     def steady_state(self, power: Sequence[float]) -> np.ndarray:

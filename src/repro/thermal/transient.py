@@ -13,6 +13,14 @@ The left-hand matrix is constant for a fixed step, so it is factorised
 once — by the model's shared solver backend, cached per ``dt`` on the
 :class:`~repro.thermal.model.ThermalModel` so every simulator with the
 same step reuses it — and each step is a pair of triangular solves.
+The step's right-hand side is built in place, ``(C/dt) dT_k`` plus the
+core powers at the core nodes, so no zero-filled full-network power
+vector is allocated per step.
+
+Every run — :meth:`TransientSimulator.simulate` and the boosting loops
+of :mod:`repro.boosting.simulation` — is validated and counted by
+:meth:`TransientSimulator.start_run`: its duration must be a whole
+number of steps, never silently rounded.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ from repro import obs
 from repro.errors import ConfigurationError
 from repro.thermal.model import ThermalModel
 from repro.units import Seconds
+
+#: Relative tolerance of the whole-number-of-steps duration check.
+_STEP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,10 +136,58 @@ class TransientSimulator:
             The core temperatures (degC) after the step.
         """
         obs.incr("thermal.transient.steps")
-        p = self._model.expand_core_powers(core_powers)
-        rhs = self._c_over_dt * self._state + p
+        p = self._model.core_power_vector(core_powers)
+        rhs = self._c_over_dt * self._state
+        # Exact: a non-core entry would only have 0.0 added.
+        rhs[self._model.core_indices] += p
         self._state = self._factorization.solve(rhs)
         return self.core_temperatures
+
+    def start_run(
+        self, duration: Seconds, record_interval: Optional[Seconds] = None
+    ) -> tuple[int, int]:
+        """Validate and count one run of ``duration`` seconds.
+
+        Args:
+            duration: simulated time, s; must be a whole number of steps
+                (within float tolerance) — silently rounding would
+                simulate a different duration than requested.
+            record_interval: spacing of recorded samples, s; ``None``
+                records every step.
+
+        Returns:
+            ``(n_steps, every)``: the step count and the recording
+            stride, in steps.
+
+        Raises:
+            ConfigurationError: on a non-positive duration, a duration
+                shorter than one step or not an integer multiple of
+                ``dt``, or a ``record_interval`` below ``dt``.
+        """
+        if duration <= 0:
+            raise ConfigurationError(f"duration must be positive, got {duration}")
+        n_steps = int(round(duration / self._dt))
+        if n_steps < 1:
+            raise ConfigurationError(
+                f"duration {duration} s is shorter than one step ({self._dt} s)"
+            )
+        if abs(n_steps * self._dt - duration) > _STEP_RTOL * max(duration, self._dt):
+            raise ConfigurationError(
+                f"duration {duration} s is not a whole number of {self._dt} s "
+                f"steps (nearest is {n_steps} steps = {n_steps * self._dt} s); "
+                f"pass an integer multiple of dt"
+            )
+        every = 1
+        if record_interval is not None:
+            if record_interval < self._dt:
+                raise ConfigurationError(
+                    f"record_interval ({record_interval} s) must be >= dt "
+                    f"({self._dt} s)"
+                )
+            every = max(1, int(round(record_interval / self._dt)))
+        obs.incr("thermal.transient.simulations")
+        obs.histogram("thermal.transient.steps_per_sim", n_steps)
+        return n_steps, every
 
     def simulate(
         self,
@@ -152,34 +211,9 @@ class TransientSimulator:
             A :class:`TransientResult` with the recorded trajectory.
 
         Raises:
-            ConfigurationError: on a non-positive duration, a duration
-                shorter than one step, or one that is not an integer
-                multiple of ``dt``.
+            ConfigurationError: as :meth:`start_run`.
         """
-        if duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {duration}")
-        n_steps = int(round(duration / self._dt))
-        if n_steps < 1:
-            raise ConfigurationError(
-                f"duration {duration} s is shorter than one step ({self._dt} s)"
-            )
-        if abs(n_steps * self._dt - duration) > 1e-9 * max(duration, self._dt):  # repro-lint: disable=DS101 - relative tolerance, not a unit
-            raise ConfigurationError(
-                f"duration {duration} s is not a whole number of {self._dt} s "
-                f"steps (nearest is {n_steps} steps = {n_steps * self._dt} s); "
-                f"pass an integer multiple of dt"
-            )
-        every = 1
-        if record_interval is not None:
-            if record_interval < self._dt:
-                raise ConfigurationError(
-                    f"record_interval ({record_interval} s) must be >= dt "
-                    f"({self._dt} s)"
-                )
-            every = max(1, int(round(record_interval / self._dt)))
-
-        obs.incr("thermal.transient.simulations")
-        obs.histogram("thermal.transient.steps_per_sim", n_steps)
+        n_steps, every = self.start_run(duration, record_interval)
         times: list[float] = []
         temps: list[np.ndarray] = []
         powers: list[np.ndarray] = []

@@ -143,3 +143,26 @@ class TestPerInstanceBoosting:
             warm_start_frequencies=[start] * 2,
         )
         assert per_instance.average_gips >= chip_wide.average_gips * 0.98
+
+    # Regression: round(duration / dt) steps were simulated (at least
+    # one) while energy was charged for the unrounded duration.
+    @pytest.mark.parametrize("duration", [0.0015, 0.0025, 0.0004])
+    def test_non_whole_step_duration_rejected(self, small_chip, placed, duration):
+        controllers = self._controllers(small_chip, 2, 2.0 * GIGA)
+        with pytest.raises(ConfigurationError, match="duration"):
+            run_per_instance_boosting(placed, controllers, duration=duration)
+
+    def test_record_interval_below_dt_rejected(self, small_chip, placed):
+        controllers = self._controllers(small_chip, 2, 2.0 * GIGA)
+        with pytest.raises(ConfigurationError, match="record_interval"):
+            run_per_instance_boosting(
+                placed, controllers, duration=0.01, record_interval=0.0005
+            )
+
+    def test_energy_charged_for_simulated_steps(self, small_chip, placed):
+        controllers = self._controllers(small_chip, 2, 2.0 * GIGA)
+        result = run_per_instance_boosting(
+            placed, controllers, duration=0.003, record_interval=0.001
+        )
+        assert np.allclose(result.times, [0.001, 0.002, 0.003])
+        assert result.energy == pytest.approx(result.average_power * 0.003)

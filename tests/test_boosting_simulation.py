@@ -182,3 +182,101 @@ class TestTransients:
     def test_invalid_duration_rejected(self, placed):
         with pytest.raises(ConfigurationError, match="duration"):
             run_constant(placed, 2.0 * GIGA, duration=0.0)
+
+    # Regression: the loop used round(duration / dt) steps (at least one)
+    # yet charged energy for the unrounded duration: 0.0015 s and
+    # 0.0025 s (round-half-to-even) both ran 2 steps, 0.0004 s a full one.
+    @pytest.mark.parametrize("duration", [0.0015, 0.0025, 0.0004])
+    def test_non_whole_step_duration_rejected(self, placed, duration):
+        with pytest.raises(ConfigurationError, match="duration"):
+            run_constant(placed, 2.0 * GIGA, duration=duration)
+
+    @pytest.mark.parametrize("duration", [0.0015, 0.0025, 0.0004])
+    def test_boosting_non_whole_step_duration_rejected(
+        self, small_chip, placed, duration
+    ):
+        ctrl = BoostingController(
+            f_min=small_chip.node.f_min,
+            f_max=small_chip.node.f_max,
+            step=small_chip.node.dvfs_step,
+            threshold=small_chip.t_dtm,
+        )
+        with pytest.raises(ConfigurationError, match="duration"):
+            run_boosting(placed, ctrl, duration=duration, power_cap=50.0)
+
+    def test_record_interval_below_dt_rejected(self, placed):
+        with pytest.raises(ConfigurationError, match="record_interval"):
+            run_constant(
+                placed, 2.0 * GIGA, duration=0.01, record_interval=0.0005
+            )
+
+    def test_whole_step_duration_runs_every_step(self, placed):
+        r = run_constant(placed, 2.0 * GIGA, duration=0.003, record_interval=0.001)
+        assert np.allclose(r.times, [0.001, 0.002, 0.003])
+        assert r.energy == pytest.approx(r.average_power * 0.003)
+
+
+class TestPowerMemoAliasing:
+    """Memoized frequency levels are read-only; callers get fresh arrays."""
+
+    F = 3.0 * GIGA
+
+    def test_returned_arrays_are_fresh_and_writable(self, placed):
+        temps = np.full(16, 70.0)
+        for get in (
+            lambda: placed.base_powers(self.F),
+            lambda: placed.leakage_powers(self.F, temps),
+            lambda: placed.total_powers(self.F, temps),
+        ):
+            first, second = get(), get()
+            assert first.flags.writeable
+            assert first is not second
+            assert not np.shares_memory(first, second)
+
+    def test_mutating_a_result_does_not_change_the_next(self, placed):
+        temps = np.full(16, 70.0)
+        base = placed.base_powers(self.F)
+        total = placed.total_powers(self.F, temps)
+        leak = placed.leakage_powers(self.F, temps)
+        for array in (
+            placed.base_powers(self.F),
+            placed.total_powers(self.F, temps),
+            placed.leakage_powers(self.F, temps),
+        ):
+            array[:] = -1.0
+        assert np.array_equal(placed.base_powers(self.F), base)
+        assert np.array_equal(placed.total_powers(self.F, temps), total)
+        assert np.array_equal(placed.leakage_powers(self.F, temps), leak)
+
+    def test_mutating_a_result_does_not_change_a_run(self, small_chip):
+        w = Workload.replicate(PARSEC["x264"], 2, 4, 3.0 * GIGA)
+        clean = run_constant(
+            place_workload(small_chip, w), self.F, duration=0.02,
+            record_interval=0.001,
+        )
+        dirty_placed = place_workload(small_chip, w)
+        dirty_placed.base_powers(self.F)[:] = 1e6  # memoizes, then mutates
+        dirty_placed.total_powers(self.F, np.full(16, 70.0))[:] = 1e6
+        dirty = run_constant(
+            dirty_placed, self.F, duration=0.02, record_interval=0.001
+        )
+        assert np.array_equal(dirty.total_powers, clean.total_powers)
+        assert np.array_equal(dirty.peak_temperatures, clean.peak_temperatures)
+
+    def test_temperature_factors_reproduce_total(self, placed):
+        temps = np.linspace(50.0, 80.0, 16)
+        factors = placed.temperature_factors(temps)
+        assert np.array_equal(
+            placed.total_powers(self.F, temps, temperature_factors=factors),
+            placed.total_powers(self.F, temps),
+        )
+        assert np.array_equal(
+            placed.total_powers(self.F, temps),
+            placed.base_powers(self.F) + placed.leakage_powers(self.F, temps),
+        )
+
+    def test_empty_workload_draws_nothing(self, small_chip):
+        empty = PlacedWorkload(small_chip, [])
+        temps = np.full(16, 70.0)
+        factors = empty.temperature_factors(temps)
+        assert not empty.total_powers(1e9, temps, temperature_factors=factors).any()

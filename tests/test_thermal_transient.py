@@ -36,6 +36,47 @@ class TestStep:
             sim.step([0.0] * 9)
         assert sim.peak_temperature < hot
 
+    def test_step_does_not_mutate_caller_powers(self, model):
+        powers = np.linspace(0.5, 4.0, 9)
+        before = powers.copy()
+        sim = TransientSimulator(model, dt=1e-3)
+        for _ in range(3):
+            sim.step(powers)
+        assert np.array_equal(powers, before)
+
+    def test_step_accepts_read_only_powers(self, model):
+        powers = np.full(9, 2.0)
+        powers.flags.writeable = False
+        sim = TransientSimulator(model, dt=1e-3)
+        assert sim.step(powers).max() > model.ambient
+
+    def test_returned_temperatures_do_not_alias_state(self, model):
+        sim = TransientSimulator(model, dt=1e-3)
+        twin = TransientSimulator(model, dt=1e-3)
+        out = sim.step([2.0] * 9)
+        twin.step([2.0] * 9)
+        out[:] = 1e9
+        assert np.array_equal(sim.core_temperatures, twin.core_temperatures)
+        assert np.array_equal(sim.step([1.0] * 9), twin.step([1.0] * 9))
+
+    def test_step_matches_expanded_rhs(self, model):
+        # The in-place RHS equals (C/dt) dT + the full-network power
+        # vector, bit for bit.
+        schedule = [np.linspace(1.0, 3.0, 9), np.linspace(0.2, 2.0, 9)]
+        factor = model.step_factorization(1e-3)
+        c_over_dt = model.capacitances / 1e-3
+        state = np.zeros(model.n_nodes)
+        sim = TransientSimulator(model, dt=1e-3)
+        for p in schedule:
+            state = factor.solve(c_over_dt * state + model.expand_core_powers(p))
+            expected = model.ambient + state[model.core_indices]
+            assert np.array_equal(sim.step(p), expected)
+
+    def test_wrong_power_shape_rejected(self, model):
+        sim = TransientSimulator(model, dt=1e-3)
+        with pytest.raises(ConfigurationError, match="core powers"):
+            sim.step([1.0] * 8)
+
     def test_invalid_dt_rejected(self, model):
         with pytest.raises(ConfigurationError, match="dt"):
             TransientSimulator(model, dt=0.0)
