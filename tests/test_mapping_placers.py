@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chip import Chip
 from repro.errors import ConfigurationError
 from repro.experiments.common import get_chip
 from repro.mapping.base import Placer
@@ -15,6 +17,7 @@ from repro.mapping.patterns import (
     NeighbourhoodSpreadPlacer,
     ThermalSpreadPlacer,
 )
+from repro.tech.library import NODE_16NM
 
 ALL_PLACERS = [
     ContiguousPlacer(),
@@ -112,10 +115,72 @@ class TestNeighbourhoodSpread:
         assert abs(r0 - r1) + abs(c0 - c1) > 1
 
 
+def _dense_matrix_place(chip, n_cores, occupied):
+    """The dense NeighbourhoodSpreadPlacer: an n x n adjacency matvec."""
+    rows, cols = chip.grid
+    n = rows * cols
+    adjacency = np.zeros((n, n))
+    for core in range(n):
+        row, col = divmod(core, cols)
+        for r, c in ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1)):
+            if 0 <= r < rows and 0 <= c < cols:
+                adjacency[core, r * cols + c] = 1.0
+    taken = np.zeros(n)
+    if occupied:
+        taken[list(occupied)] = 1.0
+    if n - len(occupied) < n_cores:
+        return None
+    scores = adjacency @ taken
+    scores[taken == 1.0] = np.inf  # repro-lint: disable=DS102 - exact 0/1 indicator
+    chosen = []
+    for _ in range(n_cores):
+        best = int(scores.argmin())
+        chosen.append(best)
+        scores[best] = np.inf
+        scores += adjacency[:, best]
+    return chosen
+
+
+class TestNeighbourhoodSpreadOracle:
+    """The grid placer chooses exactly what the dense-matrix one chose."""
+
+    @pytest.fixture(params=["1x1", "1x7", "7x1", "5x5", "4x9", "8nm"])
+    def chip(self, request):
+        if request.param == "8nm":
+            return get_chip("8nm")  # the paper's 19 x 19 grid
+        rows, cols = map(int, request.param.split("x"))
+        return Chip.grid_chip(NODE_16NM, rows, cols)
+
+    def test_seeded_random_occupancy(self, chip):
+        rows, cols = chip.grid
+        n = rows * cols
+        rng = random.Random(f"neighbourhood-spread:{rows}x{cols}")
+        placer = NeighbourhoodSpreadPlacer()
+        for _ in range(40):
+            occupied = set(rng.sample(range(n), rng.randrange(n)))
+            k = rng.randint(0, n - len(occupied))
+            assert placer.place(chip, k, occupied) == _dense_matrix_place(
+                chip, k, occupied
+            )
+
+    def test_empty_occupancy_fills_chip(self, chip):
+        n = chip.grid[0] * chip.grid[1]
+        assert NeighbourhoodSpreadPlacer().place(chip, n, set()) == (
+            _dense_matrix_place(chip, n, set())
+        )
+
+    def test_full_chip_returns_none(self, chip):
+        full = set(range(chip.grid[0] * chip.grid[1]))
+        assert NeighbourhoodSpreadPlacer().place(chip, 1, full) is None
+        assert _dense_matrix_place(chip, 1, full) is None
+
+    def test_returns_python_ints(self, small_chip):
+        cores = NeighbourhoodSpreadPlacer().place(small_chip, 3, {5})
+        assert all(type(c) is int for c in cores)
+
+
 class TestThermalSpread:
     def test_spreads_produce_cooler_chip_than_contiguous(self, small_chip):
-        import numpy as np
-
         n = 8
         per_core = 3.0
         for placer, expect_cooler in ((ContiguousPlacer(), False), (ThermalSpreadPlacer(), True)):
