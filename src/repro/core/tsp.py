@@ -70,6 +70,9 @@ class ThermalSafePower:
                 f"T_DTM ({self._t_dtm}) must exceed ambient ({chip.ambient})"
             )
         self._safe_frequencies: dict[tuple, float] = {}
+        # (app, threads, ascending ladder) -> per-core power of every
+        # level at T_DTM: the budget changes with m, the powers do not.
+        self._ladder_powers: dict[tuple, np.ndarray] = {}
 
     @property
     def chip(self) -> Chip:
@@ -197,18 +200,22 @@ class ThermalSafePower:
                 )
             return cached
         budget = self.worst_case(m)
-        ladder = sorted(
-            frequencies
-            if frequencies is not None
-            else self._chip.node.frequency_ladder()
-        )
-        chosen = F_GATED
-        for f in ladder:
-            power = app.core_power(
-                self._chip.node, threads, f, temperature=self._t_dtm
+        ladder = tuple(
+            sorted(
+                frequencies
+                if frequencies is not None
+                else self._chip.node.frequency_ladder()
             )
-            if power <= budget:
-                chosen = f
+        )
+        powers_key = (app, threads, ladder)
+        powers = self._ladder_powers.get(powers_key)
+        if powers is None:
+            (powers,) = app.core_power_table(
+                self._chip.node, [threads], ladder, temperature=self._t_dtm
+            )
+            self._ladder_powers[powers_key] = powers
+        fits = np.flatnonzero(powers <= budget)
+        chosen = ladder[fits[-1]] if fits.size else F_GATED
         self._safe_frequencies[key] = chosen
         if is_gated(chosen):
             raise InfeasibleError(

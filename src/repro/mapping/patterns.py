@@ -63,6 +63,12 @@ class NeighbourhoodSpreadPlacer(Placer):
     Each core is chosen to have the fewest already-active grid neighbours
     (counting cores chosen earlier for the same instance), breaking ties
     toward the lowest index for determinism.
+
+    The neighbour counts come from four shifted adds on the
+    ``(rows, cols)`` occupancy grid, and each pick bumps only its own
+    (at most four) neighbours: O(rows * cols) per call.  The counts are
+    small integers held exactly in floats, so every argmin and its
+    lowest-index tie-break match a dense adjacency-matrix product.
     """
 
     def place(
@@ -74,47 +80,36 @@ class NeighbourhoodSpreadPlacer(Placer):
             )
         rows, cols = chip.grid
         n = rows * cols
-        adjacency = self._neighbour_matrix(chip)
-        taken = np.zeros(n)
+        taken = np.zeros(n, dtype=bool)
         if occupied:
-            taken[list(occupied)] = 1.0
+            taken[list(occupied)] = True
         if n - len(occupied) < n_cores:
             return None
-        # scores[c] = taken 4-neighbours of c (one matvec), +inf on
-        # unavailable cores so argmin (lowest index wins ties, matching
-        # the scalar greedy walk) only ever selects free ones; +inf
-        # absorbs the incremental neighbour updates.
-        scores = adjacency @ taken
-        scores[taken == 1.0] = np.inf  # repro-lint: disable=DS102 - taken is an exact 0/1 indicator array
+        grid = taken.reshape(rows, cols)
+        counts = np.zeros((rows, cols))
+        counts[1:, :] += grid[:-1, :]
+        counts[:-1, :] += grid[1:, :]
+        counts[:, 1:] += grid[:, :-1]
+        counts[:, :-1] += grid[:, 1:]
+        # +inf on unavailable cores so argmin (lowest index wins ties)
+        # only ever selects free ones; +inf absorbs the increments.
+        scores = counts.ravel()
+        scores[taken] = np.inf
         chosen: list[int] = []
         for _ in range(n_cores):
             best = int(scores.argmin())
             chosen.append(best)
             scores[best] = np.inf
-            scores += adjacency[:, best]
-        return chosen
-
-    @staticmethod
-    def _neighbour_matrix(chip: Chip) -> np.ndarray:
-        """Dense 0/1 grid 4-neighbour matrix, cached on the chip."""
-        cached = getattr(chip, "_grid_neighbour_matrix", None)
-        if cached is not None:
-            return cached
-        rows, cols = chip.grid
-        n = rows * cols
-        matrix = np.zeros((n, n))
-        for core in range(n):
-            row, col = divmod(core, cols)
+            row, col = divmod(best, cols)
             if row > 0:
-                matrix[core, core - cols] = 1.0
+                scores[best - cols] += 1.0
             if row < rows - 1:
-                matrix[core, core + cols] = 1.0
+                scores[best + cols] += 1.0
             if col > 0:
-                matrix[core, core - 1] = 1.0
+                scores[best - 1] += 1.0
             if col < cols - 1:
-                matrix[core, core + 1] = 1.0
-        chip._grid_neighbour_matrix = matrix
-        return matrix
+                scores[best + 1] += 1.0
+        return chosen
 
 
 class ThermalSpreadPlacer(Placer):

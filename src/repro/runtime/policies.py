@@ -55,18 +55,22 @@ class AdmissionPolicy(abc.ABC):
         if threads < 1:
             raise ConfigurationError(f"threads must be positive, got {threads}")
         self._threads = threads
-        # Eq. (1) power is a pure function of (app, node, threads, f) at
-        # the fixed T_DTM evaluation point; the event loop re-evaluates
-        # the same few job shapes thousands of times.
+        # Eq. (1) power is a pure function of (app, node, threads, f,
+        # temperature); the event loop re-evaluates the same few job
+        # shapes thousands of times.
         self._power_cache: dict[tuple, float] = {}
 
     def threads_for(self, job: Job) -> int:
         """Thread count this policy would grant ``job``."""
         return min(self._threads, job.max_threads)
 
-    def _core_power(self, job: Job, chip: Chip, threads: int, f: float) -> float:
-        """Memoised ``job.app.core_power`` at the chip's T_DTM."""
-        key = (job.app, chip.node.name, threads, f)
+    def core_power(self, chip: Chip, job: Job, threads: int, f: float) -> float:
+        """Memoised per-core ``job.app.core_power`` at the chip's T_DTM.
+
+        The simulator charges a granted job through this same memo, so
+        each configuration is evaluated once per policy.
+        """
+        key = (job.app, chip.node.name, chip.t_dtm, threads, f)
         power = self._power_cache.get(key)
         if power is None:
             power = job.app.core_power(
@@ -85,6 +89,10 @@ class AdmissionPolicy(abc.ABC):
     ) -> Optional[AdmissionDecision]:
         """Grant a configuration for ``job`` on ``cores`` or defer.
 
+        The answer must depend on the arguments only: the simulator does
+        not ask again while they cannot have changed (a deferred head
+        job is retried only after a completion).
+
         Args:
             chip: the chip.
             job: the candidate job.
@@ -102,6 +110,9 @@ class TdpFifoPolicy(AdmissionPolicy):
         threads: threads per job (the paper's baseline uses 8).
         frequency: operating frequency, Hz; defaults to the node's
             nominal maximum at admission time.
+
+    Raises:
+        ConfigurationError: on a non-positive ``tdp`` or ``frequency``.
     """
 
     def __init__(
@@ -110,6 +121,10 @@ class TdpFifoPolicy(AdmissionPolicy):
         super().__init__(threads)
         if tdp <= 0:
             raise ConfigurationError(f"tdp must be positive, got {tdp}")
+        if frequency is not None and frequency <= 0:
+            raise ConfigurationError(
+                f"frequency must be positive, got {frequency}"
+            )
         self._tdp = tdp
         self._frequency = frequency
 
@@ -121,8 +136,10 @@ class TdpFifoPolicy(AdmissionPolicy):
         cores: Sequence[int],
     ) -> Optional[AdmissionDecision]:
         threads = len(cores)
-        frequency = self._frequency if self._frequency else chip.node.f_max
-        per_core = self._core_power(job, chip, threads, frequency)
+        frequency = (
+            chip.node.f_max if self._frequency is None else self._frequency
+        )
+        per_core = self.core_power(chip, job, threads, frequency)
         if float(core_powers.sum()) + threads * per_core > self._tdp + 1e-9:
             return None
         return AdmissionDecision(threads=threads, frequency=frequency)
@@ -187,7 +204,7 @@ class TspAdaptivePolicy(AdmissionPolicy):
             return None
         tentative = np.tile(core_powers, (len(candidates), 1))
         for row, f in enumerate(candidates):
-            tentative[row, idx] += self._core_power(job, chip, threads, f)
+            tentative[row, idx] += self.core_power(chip, job, threads, f)
         peaks = chip.engine.peak_temperatures(tentative)
         for f, peak in zip(candidates, peaks):
             if peak <= limit + 1e-9:

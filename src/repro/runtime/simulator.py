@@ -123,33 +123,45 @@ class OnlineSimulator:
         energy = 0.0
         core_seconds = 0.0
         max_peak = chip.ambient
+        # The loop only recomputes what an event can have changed.  A
+        # deferred head job stays deferred until a completion frees
+        # cores or power (arrivals only append to the queue), and the
+        # chip's peak is re-queried only when its power vector differs
+        # from the one queried last (the engine's LRU would return the
+        # same value for it).
+        blocked = False
+        last_queried = b""
 
         def advance(to_time: float) -> None:
-            nonlocal now, energy, core_seconds, max_peak
+            nonlocal now, energy, core_seconds, max_peak, last_queried
             dt = to_time - now
             if dt > 0:
                 energy += float(core_powers.sum()) * dt
                 core_seconds += len(occupied) * dt
                 if occupied:
-                    # The engine's quantized LRU makes the repeated
-                    # configurations of a steady event loop cache hits.
-                    max_peak = max(
-                        max_peak, engine.peak_temperature(core_powers)
-                    )
+                    state = core_powers.tobytes()
+                    if state != last_queried:
+                        max_peak = max(
+                            max_peak, engine.peak_temperature(core_powers)
+                        )
+                        last_queried = state
             now = to_time
 
         def try_admissions() -> None:
             """Admit from the queue front while the policy grants."""
+            nonlocal blocked
             while queue:
                 job = queue[0]
                 threads = self._policy.threads_for(job)
                 cores = self._placer.place(chip, threads, occupied)
                 if cores is None:
                     obs.incr("runtime.placement_deferrals")
+                    blocked = True
                     return
                 decision = self._policy.admit(chip, job, core_powers, cores)
                 if decision is None:
                     obs.incr("runtime.policy_deferrals")
+                    blocked = True
                     return
                 obs.incr("runtime.admissions")
                 if decision.threads != len(cores):
@@ -162,11 +174,8 @@ class OnlineSimulator:
                         f"{job.job_id} but {len(cores)} cores were placed; "
                         f"threads_for() and admit() must agree"
                     )
-                per_core = job.app.core_power(
-                    chip.node,
-                    decision.threads,
-                    decision.frequency,
-                    temperature=chip.t_dtm,
+                per_core = self._policy.core_power(
+                    chip, job, decision.threads, decision.frequency
                 )
                 queue.pop(0)
                 occupied.update(cores)
@@ -203,7 +212,9 @@ class OnlineSimulator:
                     obs.incr("runtime.completions")
                     core_powers[list(record.cores)] = 0.0
                     occupied.difference_update(record.cores)
-                try_admissions()
+                    blocked = False
+                if not blocked:
+                    try_admissions()
 
         obs.incr("runtime.simulations")
         # Simulated (not wall) seconds; the timer aggregate gives the
