@@ -66,16 +66,14 @@ from __future__ import annotations
 
 import os
 
-from repro.obs.export import (
-    annotate_percentiles,
-    hist_percentile,
-    to_csv,
-    to_json,
-)
 from repro.obs.exporters import (
     JsonlSink,
+    annotate_percentiles,
+    hist_percentile,
     read_jsonl,
     start_metrics_server,
+    to_csv,
+    to_json,
     to_prometheus,
 )
 from repro.obs.registry import (

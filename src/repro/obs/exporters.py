@@ -1,8 +1,21 @@
-"""Live exporters: Prometheus text exposition, JSONL streams, HTTP.
+"""Snapshot exporters: JSON/CSV files, percentiles, Prometheus, JSONL, HTTP.
 
-The post-hoc exporters (:mod:`repro.obs.export`) write a finished run's
-snapshot to JSON/CSV files.  This module is the *live* counterpart the
-continuous-telemetry layer plugs into:
+A snapshot (see :meth:`repro.obs.registry.Registry.snapshot`) is already
+a JSON-serialisable dict.  The *post-hoc* exporters write a finished
+run's snapshot to files:
+
+* :func:`to_json` adds deterministic formatting and optional file output;
+* :func:`to_csv` flattens the five aggregate kinds into one
+  ``kind,name,count,total_s,value`` table so spreadsheet tooling can
+  consume a run without JSON wrangling (histogram rows put the sample
+  *sum* in the ``total_s`` column; the bucket breakdown only exists in
+  the JSON form);
+* :func:`hist_percentile` estimates quantiles from the registry's log2
+  histogram buckets, and :func:`annotate_percentiles` stamps p50/p90/p99
+  onto every histogram of a snapshot — used by ``darksilicon report``
+  tables and the budget watchdog's ``p95_le`` predicate.
+
+The *live* exporters are what the continuous-telemetry layer plugs into:
 
 * :func:`to_prometheus` renders any registry snapshot in the Prometheus
   text exposition format (version 0.0.4) — counters and gauges value-
@@ -16,6 +29,8 @@ continuous-telemetry layer plugs into:
   ``GET /snapshot.json`` on a stdlib :class:`http.server.
   ThreadingHTTPServer` daemon thread, so a long-lived process (a sweep,
   the future ``darksilicon serve``) can be scraped while it works.
+  :mod:`http.server` (which drags in ``ssl`` and ``email``) is imported
+  only when a server starts, not with the package.
 
 Name mapping: Prometheus names allow ``[a-zA-Z0-9_:]`` only, so dotted
 registry names are flattened with underscores under one namespace —
@@ -34,14 +49,149 @@ Prometheus ``le`` bounds: cumulative counts are monotone and the
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from repro.obs.registry import _HIST_UNDERFLOW
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
+
+
+# -- JSON / CSV / percentiles -------------------------------------------
+
+
+def to_json(snapshot: dict, path: Optional[Union[str, Path]] = None) -> str:
+    """Serialise a snapshot to JSON (sorted keys, 2-space indent).
+
+    Args:
+        snapshot: a registry snapshot.
+        path: when given, the JSON is also written to this file.
+
+    Returns:
+        The JSON text.
+    """
+    text = json.dumps(snapshot, indent=2, sort_keys=True)
+    if path is not None:
+        Path(path).write_text(text + "\n")
+    return text
+
+
+def to_csv(snapshot: dict, path: Optional[Union[str, Path]] = None) -> str:
+    """Flatten a snapshot into CSV rows.
+
+    Counters and gauges emit ``(kind, value)`` rows; timers and spans
+    emit ``(count, total_s)`` rows; histograms emit ``(count, sum)``
+    rows (sum in the ``total_s`` column).  Rows are sorted by
+    (kind, name) so the output is diff-stable across runs.
+
+    Returns:
+        The CSV text (also written to ``path`` when given).
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["kind", "name", "count", "total_s", "value"])
+    rows = []
+    for name, value in snapshot.get("counters", {}).items():
+        rows.append(["counter", name, "", "", value])
+    for name, value in snapshot.get("gauges", {}).items():
+        rows.append(["gauge", name, "", "", value])
+    for kind in ("timers", "spans"):
+        for name, agg in snapshot.get(kind, {}).items():
+            rows.append([kind[:-1], name, agg["count"], agg["total_s"], ""])
+    for name, agg in snapshot.get("histograms", {}).items():
+        rows.append(["histogram", name, agg["count"], agg["sum"], ""])
+    rows.sort(key=lambda r: (r[0], r[1]))
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    if path is not None:
+        Path(path).write_text(text)
+    return text
+
+
+def hist_percentile(agg: dict, q: float) -> Optional[float]:
+    """Estimate the ``q``-quantile of a log2-bucket histogram aggregate.
+
+    The estimator assumes a uniform distribution *within* the bucket
+    containing the target rank, interpolating linearly between the
+    bucket's bounds — with both bounds clamped to the aggregate's
+    recorded ``min``/``max``.  The clamp makes degenerate cases exact
+    rather than approximate: a histogram whose samples all share one
+    bucket interpolates across ``[min, max]`` directly, and a
+    constant-valued histogram returns that constant for every ``q``
+    (the exactness contract ``tests/test_obs_exporters.py`` pins).
+
+    Args:
+        agg: histogram aggregate (``count``/``sum``/``min``/``max``/
+            ``buckets``) as found in a snapshot.
+        q: quantile in ``[0, 1]``.
+
+    Returns:
+        The estimate, or ``None`` for an empty histogram.
+    """
+    count = agg.get("count", 0)
+    if not count:
+        return None
+    if not 0.0 <= q <= 1.0:
+        from repro.errors import ConfigurationError
+
+        raise ConfigurationError(f"quantile must be in [0, 1], got {q!r}")
+    lo_all, hi_all = agg["min"], agg["max"]
+
+    def bounds(key: str) -> tuple[float, float]:
+        if key == _HIST_UNDERFLOW:
+            return (min(lo_all, 0.0), 0.0)
+        exponent = int(key)
+        return (2.0 ** (exponent - 1), 2.0 ** exponent)
+
+    ordered = sorted(
+        ((bounds(key), n) for key, n in agg.get("buckets", {}).items()),
+        key=lambda item: item[0][1],
+    )
+    rank = q * count  # continuous rank in [0, count]
+    cumulative = 0
+    for (lo, hi), n in ordered:
+        if rank <= cumulative + n or (lo, hi) == ordered[-1][0]:
+            lo = max(lo, lo_all)
+            hi = min(hi, hi_all)
+            frac = (rank - cumulative) / n
+            frac = min(max(frac, 0.0), 1.0)
+            value = lo + (hi - lo) * frac
+            return min(max(value, lo_all), hi_all)
+        cumulative += n
+    raise AssertionError("unreachable: ranks are covered by buckets")
+
+
+def annotate_percentiles(
+    snapshot: dict, qs: Sequence[float] = (0.5, 0.9, 0.99)
+) -> dict:
+    """Stamp quantile estimates onto every histogram of a snapshot.
+
+    Returns a copy of ``snapshot`` whose histogram aggregates carry an
+    extra ``"p<NN>"`` key per requested quantile (``0.5`` → ``"p50"``,
+    ``0.99`` → ``"p99"``); the input is not mutated.  Non-histogram
+    kinds are passed through unchanged.
+    """
+    out = dict(snapshot)
+    out["histograms"] = {
+        name: {
+            **agg,
+            **{
+                f"p{round(q * 100):d}": hist_percentile(agg, q)
+                for q in qs
+            },
+        }
+        for name, agg in snapshot.get("histograms", {}).items()
+    }
+    return out
+
+
+# -- Prometheus text exposition -----------------------------------------
 
 #: Default metric-name namespace prefixed to every exported series.
 NAMESPACE = "repro"
@@ -212,42 +362,12 @@ def read_jsonl(path: Union[str, Path]) -> Iterator[dict]:
 # -- HTTP hosting ------------------------------------------------------
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """Serves ``/metrics`` (Prometheus) and ``/snapshot.json``."""
-
-    # Set per-server via the factory in start_metrics_server.
-    snapshot_fn: Callable[[], dict]
-    namespace: str = NAMESPACE
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        if path in ("/metrics", "/"):
-            body = to_prometheus(self.snapshot_fn(), self.namespace).encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        elif path == "/snapshot.json":
-            body = json.dumps(
-                self.snapshot_fn(), indent=2, sort_keys=True
-            ).encode()
-            content_type = "application/json"
-        else:
-            self.send_error(404, "unknown path (try /metrics)")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Scrape logging is noise; the registry counts requests."""
-
-
 def start_metrics_server(
     snapshot_fn: Callable[[], dict],
     host: str = "127.0.0.1",
     port: int = 0,
     namespace: str = NAMESPACE,
-) -> ThreadingHTTPServer:
+) -> "ThreadingHTTPServer":
     """Host ``snapshot_fn``'s output over HTTP on a daemon thread.
 
     Args:
@@ -263,12 +383,32 @@ def start_metrics_server(
         The running server; call ``server.shutdown()`` then
         ``server.server_close()`` to stop it.
     """
-    handler = type(
-        "_BoundMetricsHandler",
-        (_MetricsHandler,),
-        {"snapshot_fn": staticmethod(snapshot_fn), "namespace": namespace},
-    )
-    server = ThreadingHTTPServer((host, port), handler)
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class _MetricsHandler(BaseHTTPRequestHandler):
+        """Serves ``/metrics`` (Prometheus) and ``/snapshot.json``."""
+
+        def do_GET(self) -> None:  # noqa: N802 - http.server API
+            path = self.path.split("?", 1)[0]
+            if path in ("/metrics", "/"):
+                body = to_prometheus(snapshot_fn(), namespace).encode()
+                content_type = "text/plain; version=0.0.4; charset=utf-8"
+            elif path == "/snapshot.json":
+                body = json.dumps(snapshot_fn(), indent=2, sort_keys=True).encode()
+                content_type = "application/json"
+            else:
+                self.send_error(404, "unknown path (try /metrics)")
+                return
+            self.send_response(200)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, format: str, *args) -> None:  # noqa: A002
+            """Scrape logging is noise; the registry counts requests."""
+
+    server = ThreadingHTTPServer((host, port), _MetricsHandler)
     server.daemon_threads = True
     thread = threading.Thread(
         target=server.serve_forever, name="repro-obs-metrics", daemon=True

@@ -28,7 +28,7 @@ Budget schema (one JSON object per budget, under a top-level
 Metric values resolve by kind: counters and gauges read their value,
 timers and spans read ``total_s``, histograms read what the predicate
 needs (``max``/``min`` read the recorded extremes, ``p95_le`` the
-interpolated :func:`~repro.obs.export.hist_percentile`).  A pattern
+interpolated :func:`~repro.obs.exporters.hist_percentile`).  A pattern
 budget evaluates once per matching metric; a budget matching nothing
 passes vacuously unless ``required`` — so one budgets file can serve
 experiments that exercise different subsystems.
@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.export import hist_percentile
+from repro.obs.exporters import hist_percentile
 
 #: Recognised predicate keys, in evaluation-priority order.
 PREDICATES = ("max", "min", "p95_le", "ratio_ge")

@@ -18,11 +18,12 @@ the timeline events it recorded during the cell, and the parent
 re-bases them onto its own clock — the exported Chrome trace shows
 worker spans on their own pid tracks at their true wall-clock position.
 
-Parallel execution uses :mod:`concurrent.futures`; the cell function and
-its inputs must then be picklable (module-level functions, or
-``functools.partial`` over one).  Chips and solver objects hold sparse
-factorisations that do not pickle — parallel cells should receive plain
-parameters and obtain chips inside the worker (e.g. via
+Parallel execution uses :mod:`concurrent.futures`, imported only on the
+parallel paths so a serial run never loads the process-pool stack; the
+cell function and its inputs must then be picklable (module-level
+functions, or ``functools.partial`` over one).  Chips and solver
+objects hold sparse factorisations that do not pickle — parallel cells
+should receive plain parameters and obtain chips inside the worker (e.g. via
 :func:`repro.experiments.common.get_chip`, whose per-process cache makes
 this cheap after the first cell).
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from repro import obs
@@ -160,6 +160,8 @@ class SweepRunner:
         with obs.span(f"sweep.{stage}", attrs=attrs):
             start = time.perf_counter()
             if self.parallel and len(cells) > 1:
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(
                     max_workers=self._max_workers,
                     initializer=_init_worker,
@@ -235,6 +237,8 @@ class SweepRunner:
                     for w in range(workers)
                 ]
                 chunks = [cells[lo:hi] for lo, hi in bounds if hi > lo]
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(
                     max_workers=self._max_workers,
                     initializer=_init_worker,

@@ -12,7 +12,7 @@ one markdown dashboard under ``reports/``:
   benches, ranked by total time;
 * **Histogram percentiles** — p50/p90/p99 for every histogram the
   latest entry recorded, estimated from the log2 buckets
-  (:func:`repro.obs.export.hist_percentile`);
+  (:func:`repro.obs.exporters.hist_percentile`);
 * **Store activity** — hit rate and failure count out of the run
   ledger;
 * **Recent runs** — the ledger's newest lines: which experiment ran,
@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.obs.export import hist_percentile
+from repro.obs.exporters import hist_percentile
 from repro.obs.manifest import RunManifest, read_manifests
 
 #: Default report location, relative to the working directory.

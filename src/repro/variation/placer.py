@@ -19,11 +19,19 @@ saves watts under a TDP-style budget (occasionally buying an extra
 instance), while the thermal term keeps the mapping spread.  Use a
 larger ``leakage_weight`` for power-bound scenarios and a smaller one
 when the temperature constraint binds.
+
+The thermal sum is scored exactly as the spread placer scores it: a
+sequential sum over ascending ``k`` (the last column of a ``cumsum``),
+ties to the lowest core index, so placements do not depend on set
+iteration order or on the interpreter's ``sum()``.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import AbstractSet, Optional, Sequence
+
+import numpy as np
 
 from repro.chip import Chip
 from repro.errors import ConfigurationError
@@ -62,19 +70,16 @@ class VariationAwarePlacer(Placer):
             return None
         influence = chip.thermal.influence_matrix()
         mults = self._variation.leakage_multipliers
-        taken = set(occupied)
+        taken = sorted(occupied)
         chosen: list[int] = []
-        candidates = set(free)
         for _ in range(n_cores):
-            best = min(
-                sorted(candidates),
-                key=lambda c: (
-                    sum(influence[c, k] for k in taken)
-                    + influence[c, c]
-                    + self._weight * mults[c] * influence[c, c]
-                ),
-            )
-            chosen.append(best)
-            candidates.remove(best)
-            taken.add(best)
+            candidates = np.array(free)
+            diag = influence[candidates, candidates]
+            scores = diag
+            if taken:
+                received = np.cumsum(influence[np.ix_(candidates, taken)], axis=1)
+                scores = received[:, -1] + scores
+            scores = scores + self._weight * mults[candidates] * diag
+            chosen.append(free.pop(int(np.argmin(scores))))
+            bisect.insort(taken, chosen[-1])
         return chosen

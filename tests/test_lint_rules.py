@@ -130,6 +130,14 @@ def test_ds401_applies_outside_the_library_too():
     assert len(findings) == PLANTED["DS401"]
 
 
+def test_pool_rules_see_function_local_pool_imports():
+    """A ProcessPoolExecutor imported inside a function is still a pool."""
+    ds401 = lint_fixture("pool_local_import_bad.py", "DS401")
+    ds602 = lint_fixture("pool_local_import_bad.py", "DS602")
+    assert [(f.line, "lambda" in f.message) for f in ds401] == [(29, True)]
+    assert [(f.line, "'tally'" in f.message) for f in ds602] == [(30, True)]
+
+
 def test_ds402_suggests_deterministic_replacements():
     findings = lint_fixture("ds402_bad.py", "DS402")
     messages = " ".join(f.message for f in findings)

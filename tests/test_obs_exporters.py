@@ -15,10 +15,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import Registry, read_jsonl, start_metrics_server, to_prometheus
-from repro.obs.export import annotate_percentiles, hist_percentile
 from repro.obs.exporters import (
     JsonlSink,
+    annotate_percentiles,
     bucket_upper_bound,
+    hist_percentile,
     parse_prometheus,
     sanitize_metric_name,
 )

@@ -1,5 +1,7 @@
 """Process variation: maps, varied power, variability-aware placement."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from repro.apps.workload import ApplicationInstance, Workload
 from repro.core.constraints import PowerBudgetConstraint, TemperatureConstraint
 from repro.core.estimator import map_workload
 from repro.errors import ConfigurationError
+from repro.experiments.common import get_chip
+from repro.mapping.base import Placer
 from repro.variation import (
     VariationAwarePlacer,
     VariationMap,
@@ -164,3 +168,81 @@ class TestVariationAwarePlacer:
             assert aware.active_cores == oblivious.active_cores
             saved += oblivious.total_power - aware.total_power
         assert saved > 0.0
+
+
+def _set_sum_score(influence, mults, weight, taken, c):
+    """The scalar variation-aware score: a generator sum over a set."""
+    return (
+        sum(influence[c, k] for k in taken)
+        + influence[c, c]
+        + weight * mults[c] * influence[c, c]
+    )
+
+
+def _set_sum_place(chip, vmap, weight, n_cores, occupied):
+    """The scalar VariationAwarePlacer.place, scoring with set sums."""
+    free = Placer.free_cores(chip, occupied)
+    if len(free) < n_cores:
+        return None
+    influence = chip.thermal.influence_matrix()
+    mults = vmap.leakage_multipliers
+    taken = set(occupied)
+    chosen = []
+    candidates = set(free)
+    for _ in range(n_cores):
+        best = min(
+            sorted(candidates),
+            key=lambda c: _set_sum_score(influence, mults, weight, taken, c),
+        )
+        chosen.append(best)
+        candidates.remove(best)
+        taken.add(best)
+    return chosen
+
+
+class TestVariationAwareOracle:
+    """The cumsum scorer picks what the set-sum scorer picked, or a core
+    whose set-sum score ties the set-sum choice within 1e-12 K."""
+
+    @pytest.fixture(params=["small", "16nm", "8nm"])
+    def chip(self, request, small_chip, chip16):
+        return {
+            "small": small_chip,
+            "16nm": chip16,
+            "8nm": get_chip("8nm"),
+        }[request.param]
+
+    def test_seeded_random_occupancy(self, chip):
+        rng = random.Random(f"variation-aware:{chip.n_cores}")
+        influence = chip.thermal.influence_matrix()
+        for trial in range(12):
+            vmap = VariationMap.generate(chip, sigma=0.3, seed=trial)
+            weight = rng.choice((0.0, 0.5, 2.0, 5.0))
+            placer = VariationAwarePlacer(vmap, leakage_weight=weight)
+            occupied = set(rng.sample(range(chip.n_cores), rng.randrange(chip.n_cores)))
+            n = rng.randint(1, min(8, chip.n_cores - len(occupied)))
+            new = placer.place(chip, n, occupied)
+            old = _set_sum_place(chip, vmap, weight, n, occupied)
+            if new == old:
+                continue
+            taken = set(occupied)
+            for pick in new:
+                scores = {
+                    c: _set_sum_score(
+                        influence, vmap.leakage_multipliers, weight, taken, c
+                    )
+                    for c in Placer.free_cores(chip, taken)
+                }
+                assert scores[pick] <= min(scores.values()) + 1e-12
+                taken.add(pick)
+
+    def test_empty_occupancy(self, chip):
+        vmap = VariationMap.generate(chip, sigma=0.3, seed=7)
+        placer = VariationAwarePlacer(vmap)
+        assert placer.place(chip, 8, set()) == _set_sum_place(
+            chip, vmap, 2.0, 8, set()
+        )
+
+    def test_returns_python_ints(self, small_chip, vmap):
+        cores = VariationAwarePlacer(vmap).place(small_chip, 3, {5})
+        assert all(type(c) is int for c in cores)
