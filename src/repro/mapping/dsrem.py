@@ -29,14 +29,19 @@ The heuristic is table-driven.  Each call first evaluates one
 ``(app, threads, frequency index)`` table of per-core power at T_DTM and
 instance performance, through the scalar Eq. (1) model with one model
 build per application, so every entry is bit-identical to
-:meth:`AppProfile.core_power`.  The density greedy is then one masked
-``argmax`` per added instance, the upgrade pass one masked ``argmax`` of
-gain per extra watt per step over the placed instances' table keys, and
-the repair and exploit phases step frequencies by table index.
+:meth:`AppProfile.core_power`, plus the ``(extra power, gain)`` of
+stepping each entry one level up.  The budget phase is event-driven
+over that table: the density greedy is one pointer walk down the
+entries sorted by density (an entry that stops fitting never fits
+again, as power and cores are only spent), and the upgrade pass a heap
+of the placed instances keyed by gain per extra watt, where only the
+stepped instance is re-pushed.  The repair and exploit phases step
+frequencies by table index.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,7 +71,8 @@ class DsRemConfig:
         exploit_margin: headroom (K, >= 0) below T_DTM at which the
             exploit phase stops trying upgrades.
         max_steps: safety bound (>= 0) on upgrade/repair/exploit
-            iterations.
+            iterations; a repair phase that runs out of it above
+            T_DTM raises.
 
     :func:`ds_rem` raises :class:`ConfigurationError` on a violation.
     """
@@ -89,6 +95,11 @@ class _Table:
     did.  Each value comes from the scalar power model (one model build
     per app), so every entry is bit-identical to a direct
     ``AppProfile.core_power`` call.
+
+    ``power_of[a][n][k]``, ``extra_of[a][n][k]`` and ``gain_of[a][n][k]``
+    are nested-list copies of ``core_power`` and of :func:`_next_step`
+    over the whole grid, for the phases' scalar reads (a list index is
+    far cheaper than a NumPy scalar).
     """
 
     def __init__(
@@ -123,6 +134,10 @@ class _Table:
         self.threads = key[1]
         self.instance_power = self.threads * self.core_power[key]
         self.instance_performance = self.performance[key]
+        extra, gain = _next_step(self, *np.indices(shape))
+        self.power_of = self.core_power.tolist()
+        self.extra_of = extra.tolist()
+        self.gain_of = gain.tolist()
 
 
 class _State:
@@ -147,10 +162,9 @@ class _State:
     def core_powers(self) -> np.ndarray:
         powers = np.zeros(self.chip.n_cores)
         if self.cores:
-            np.add.at(
-                powers,
-                np.concatenate(self.cores),
-                np.repeat(self.power, [len(c) for c in self.cores]),
+            # Instances hold disjoint core sets: assignment, not a sum.
+            powers[np.concatenate(self.cores)] = np.repeat(
+                self.power, [len(c) for c in self.cores]
             )
         return powers
 
@@ -161,15 +175,16 @@ class _State:
         cores = self.placer.place(self.chip, key[1], self.occupied)
         if cores is None:
             return False
+        a, n, k = key
         self.keys.append(key)
         self.cores.append(tuple(cores))
-        self.power.append(float(self.table.core_power[key]))
+        self.power.append(self.table.power_of[a][n][k])
         return True
 
     def replace(self, index: int, freq_index: int) -> None:
         a, n, _ = self.keys[index]
         self.keys[index] = (a, n, freq_index)
-        self.power[index] = float(self.table.core_power[a, n, freq_index])
+        self.power[index] = self.table.power_of[a][n][freq_index]
 
     def remove(self, index: int) -> None:
         del self.keys[index], self.cores[index], self.power[index]
@@ -230,8 +245,9 @@ def ds_rem(
         The final thermally-safe :class:`MappingResult`.
 
     Raises:
-        ConfigurationError: on an empty mix, a non-positive TDP or an
-            invalid :class:`DsRemConfig`.
+        ConfigurationError: on an empty mix, a non-positive TDP, an
+            invalid :class:`DsRemConfig`, or when the repair phase does
+            not reach T_DTM within ``max_steps``.
     """
     if not apps:
         raise ConfigurationError("need at least one application in the mix")
@@ -244,7 +260,8 @@ def ds_rem(
     state = _State(chip, placer or ThermalSpreadPlacer(), table)
 
     with obs.span("mapping.dsrem.budget"):
-        _budget_phase(state, tdp, cfg)
+        steps = _budget_phase(state, tdp, cfg)
+    obs.incr("mapping.dsrem.upgrade_steps", steps)
     with obs.span("mapping.dsrem.repair"):
         _repair_phase(state, cfg)
     with obs.span("mapping.dsrem.exploit"):
@@ -283,41 +300,87 @@ def _validate_config(chip: Chip, cfg: DsRemConfig) -> list[Hz]:
 # -- phase 1: greedy knapsack under TDP -------------------------------
 
 
-def _budget_phase(state: _State, tdp: Watts, cfg: DsRemConfig) -> None:
+def _budget_phase(state: _State, tdp: Watts, cfg: DsRemConfig) -> int:
+    """Spend ``tdp`` on instances, then on frequency upgrades.
+
+    Returns the number of upgrade steps applied.
+    """
+    remaining_power = _density_greedy(state, tdp)
+    return _upgrade_pass(state, remaining_power, cfg.max_steps)
+
+
+def _density_greedy(state: _State, tdp: Watts) -> Watts:
+    """Add the densest configuration that fits until none does.
+
+    Density is performance per watt; ties go to the lowest table index,
+    as with a first ``argmax``.  Every add spends cores and power, so an
+    entry that does not fit now never fits again: one walk down the
+    entries in density order suffices, re-adding an entry while it
+    still fits.  Stops early if the placer fails.  Returns the power
+    left.
+    """
     table = state.table
     remaining_power = tdp
     free_cores = state.chip.n_cores
-
-    # Density greedy: best performance per watt that still fits.
+    threads = table.threads.tolist()
+    power = table.instance_power.tolist()
     density = table.instance_performance / table.instance_power
-    while True:
-        fits = (table.threads <= free_cores) & (table.instance_power <= remaining_power)
-        if not fits.any():
-            break
-        key = table.keys[int(np.argmax(np.where(fits, density, -np.inf)))]
-        if not state.add(key):
-            break
-        remaining_power -= state.power[-1] * len(state.cores[-1])
-        free_cores -= len(state.cores[-1])
+    for j in np.argsort(-density, kind="stable").tolist():
+        while threads[j] <= free_cores and power[j] <= remaining_power:
+            if not state.add(table.keys[j]):
+                return remaining_power
+            remaining_power -= state.power[-1] * len(state.cores[-1])
+            free_cores -= len(state.cores[-1])
+    return remaining_power
 
-    # Upgrade pass: spend leftover power on frequency increases, largest
-    # performance gain per extra watt first.  Only the stepped instance's
-    # next step changes, so only its entry is recomputed.
-    if not state.keys:
-        return
-    apps, threads, freqs = np.array(state.keys).T.copy()
-    extra, gain = _next_step(table, apps, threads, freqs)
+
+def _upgrade_pass(state: _State, remaining_power: Watts, max_steps: int) -> int:
+    """Spend leftover power on one-level frequency upgrades.
+
+    Each step applies the admissible upgrade (below the top level,
+    positive gain, extra power within the remaining budget) with the
+    largest gain per extra watt, ties to the lowest instance index.
+    The heap holds the placed instances whose next step is below the top
+    with positive gain, keyed ``(-score, index)``; only the stepped
+    instance's next step changes, so only it is re-pushed.  A head whose
+    extra power exceeds the budget is parked: it stays inadmissible
+    while steps only spend power, and goes back on the heap once a step
+    with negative extra power returns some.  Returns the number of steps
+    applied (at most ``max_steps``).
+    """
+    table = state.table
     top = len(table.frequencies) - 1
-    for _ in range(cfg.max_steps):
-        admissible = (freqs < top) & (extra <= remaining_power) & (gain > 0)
-        if not admissible.any():
-            break
-        score = np.where(admissible, gain / np.maximum(extra, 1e-9), -np.inf)
-        i = int(np.argmax(score))
-        remaining_power -= float(extra[i])
-        freqs[i] += 1
-        state.replace(i, int(freqs[i]))
-        extra[i], gain[i] = _next_step(table, apps[i], threads[i], freqs[i])
+
+    def entry(i: int) -> Optional[tuple[float, int]]:
+        a, n, k = state.keys[i]
+        gain = table.gain_of[a][n][k]
+        if k < top and gain > 0:
+            return -(gain / max(table.extra_of[a][n][k], 1e-9)), i
+        return None
+
+    heap = [e for e in map(entry, range(len(state.keys))) if e is not None]
+    heapq.heapify(heap)
+    parked: list[tuple[float, int]] = []
+    steps = 0
+    while steps < max_steps and heap:
+        head = heapq.heappop(heap)
+        i = head[1]
+        a, n, k = state.keys[i]
+        extra = table.extra_of[a][n][k]
+        if extra > remaining_power:
+            parked.append(head)
+            continue
+        remaining_power -= extra
+        state.replace(i, k + 1)
+        steps += 1
+        if extra < 0 and parked:
+            heap += parked
+            heapq.heapify(heap)
+            parked = []
+        stepped = entry(i)
+        if stepped is not None:
+            heapq.heappush(heap, stepped)
+    return steps
 
 
 def _next_step(
@@ -326,7 +389,8 @@ def _next_step(
     """Extra instance power (W) and performance gain (IPS) of stepping
     each ``(app, threads, frequency index)`` one level up.
 
-    Both are 0 at the top level.
+    Both are 0 at the top level and NaN where ``threads`` is not an
+    option.
     """
     up = np.minimum(freqs + 1, len(table.frequencies) - 1)
     power = table.core_power
@@ -351,6 +415,13 @@ def _repair_phase(state: _State, cfg: DsRemConfig) -> None:
             state.replace(index, freq_index - 1)
         else:
             state.remove(index)
+    # Out of steps: still hot means no safe mapping was found.
+    peak = state.peak_temperature()
+    if peak > chip.t_dtm + 1e-6:
+        raise ConfigurationError(
+            f"DsRem repair did not reach T_DTM {chip.t_dtm} degC within "
+            f"max_steps={cfg.max_steps}: peak {peak:.2f} degC"
+        )
 
 
 # -- phase 3: exploit headroom ----------------------------------------
@@ -369,13 +440,11 @@ def _exploit_phase(state: _State, cfg: DsRemConfig) -> None:
 def _try_upgrade(state: _State) -> bool:
     """Apply the best admissible one-step frequency upgrade, if any."""
     chip = state.chip
-    if not state.keys:
-        return False
-    _, gain = _next_step(state.table, *np.array(state.keys).T)
-    top = len(state.table.frequencies) - 1
+    table = state.table
+    top = len(table.frequencies) - 1
     candidates = [
-        (float(gain[i]), i, k + 1)
-        for i, (_, _, k) in enumerate(state.keys)
+        (table.gain_of[a][n][k], i, k + 1)
+        for i, (a, n, k) in enumerate(state.keys)
         if k < top
     ]
     for _, i, k_next in sorted(candidates, reverse=True):

@@ -143,7 +143,8 @@ class ThermalSpreadPlacer(Placer):
             candidates = np.array(free)
             scores = influence[candidates, candidates]
             if taken:
-                received = np.cumsum(influence[np.ix_(candidates, taken)], axis=1)
+                gathered = influence.take(candidates, 0).take(taken, 1)
+                received = np.cumsum(gathered, axis=1)
                 scores = received[:, -1] + scores
             chosen.append(free.pop(int(np.argmin(scores))))
             bisect.insort(taken, chosen[-1])

@@ -77,7 +77,8 @@ class VariationAwarePlacer(Placer):
             diag = influence[candidates, candidates]
             scores = diag
             if taken:
-                received = np.cumsum(influence[np.ix_(candidates, taken)], axis=1)
+                gathered = influence.take(candidates, 0).take(taken, 1)
+                received = np.cumsum(gathered, axis=1)
                 scores = received[:, -1] + scores
             scores = scores + self._weight * mults[candidates] * diag
             chosen.append(free.pop(int(np.argmin(scores))))

@@ -17,6 +17,7 @@ from repro.core.dark_silicon import (
     estimate_dark_silicon,
 )
 from repro.core.tsp import ThermalSafePower
+from repro.experiments import fig09_dsrem
 from repro.mapping.contiguous import ContiguousPlacer
 from repro.mapping.dsrem import ds_rem
 from repro.mapping.patterns import NeighbourhoodSpreadPlacer
@@ -202,6 +203,31 @@ class TestFigure9_DsRem:
     def test_dsrem_thermally_safe(self, chip16):
         improved = ds_rem(chip16, [PARSEC["swaptions"]], PAPER_TDP_PESSIMISTIC)
         assert improved.peak_temperature <= chip16.t_dtm + 1e-6
+
+
+class TestFigure9_AllWorkloads:
+    """Fig. 9 over all ten default workloads (single apps and mixes)."""
+
+    @pytest.fixture(scope="class")
+    def fig9(self, chip16):
+        return fig09_dsrem.run(chip=chip16)
+
+    def test_dsrem_beats_tdpmap_everywhere(self, fig9):
+        assert len(fig9.entries) == 10
+        for entry in fig9.entries:
+            assert entry.speedup > 1.0, entry.workload
+
+    def test_dsrem_never_exceeds_t_dtm(self, fig9):
+        for entry in fig9.entries:
+            assert entry.dsrem_peak <= 80.0 + 1e-6, entry.workload
+
+    def test_average_speedup_roughly_doubles(self, fig9):
+        """Paper headline: ~2x average speed-up."""
+        assert 1.5 <= fig9.average_speedup <= 3.0
+
+    def test_dsrem_lights_silicon_tdpmap_leaves_dark(self, fig9):
+        for entry in fig9.entries:
+            assert entry.dsrem_dark <= entry.tdpmap_dark + 1e-9, entry.workload
 
 
 class TestFigure10_Tsp:

@@ -46,6 +46,26 @@ class TestRepairPhase:
         )
         assert result.peak_temperature <= small_chip.t_dtm + 1e-6
 
+    @pytest.mark.parametrize(
+        "max_steps, peak", [(0, "115.76"), (10, "107.08")]
+    )
+    def test_exhausted_repair_raises(self, chip16, max_steps, peak):
+        """Out of steps above T_DTM is an error, not a hot mapping."""
+        apps = [PARSEC["x264"], PARSEC["swaptions"]]
+        frequencies = [chip16.node.f_max]
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"T_DTM 80.0 degC within max_steps={max_steps}: peak {peak} degC",
+        ):
+            ds_rem(
+                chip16, apps, tdp=1000.0,
+                config=DsRemConfig(frequencies=frequencies, max_steps=max_steps),
+            )
+        safe = ds_rem(
+            chip16, apps, tdp=1000.0, config=DsRemConfig(frequencies=frequencies)
+        )
+        assert safe.peak_temperature <= chip16.t_dtm + 1e-6
+
 
 class TestExploitPhase:
     def test_grows_beyond_a_starved_seed(self, small_chip):
